@@ -11,6 +11,11 @@ are compared against. The map's long-time rate is the quasilinear rate times
 an angle-correlation factor; to first order (Rechester & White, PRL 44, 1586,
 1980) ``R(K) = 1 - 2 J2(K) - 2 J1(K)^2 + 2 J2(K)^2 + 2 J3(K)^2``, about 0.62
 at K = 10.
+
+One protocol: every particle starts at action ``I0`` with an angle drawn
+uniformly by ``ClassicalEnsemble.prepared`` from its ``seed``, and
+``ensemble_series`` evolves those angles. ``classical_step`` is the scalar
+map the array map is tested against.
 """
 
 from __future__ import annotations
@@ -37,16 +42,22 @@ class ClassicalParticle:
     angle: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassicalEnsemble:
-    """Bundle of particles plus the map parameters they evolve under."""
+    """Particles at action ``I0`` (a read-only float64 array of their initial
+    angles), plus the map parameters they evolve under."""
 
-    particles: tuple[ClassicalParticle, ...]
+    particles: np.ndarray
     I0: float
     tau: float
     k: float
 
     def __post_init__(self) -> None:
+        angles = np.array(self.particles, dtype=np.float64)
+        if angles.ndim != 1 or angles.size < 1:
+            raise ValueError(f"need a nonempty 1-d array of angles, got shape {angles.shape}")
+        angles.flags.writeable = False
+        object.__setattr__(self, "particles", angles)
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.k < 0:
@@ -61,23 +72,12 @@ class ClassicalEnsemble:
         return self.K > K_CRITICAL
 
     @classmethod
-    def prepared(cls, n_particles: int, I0: float, tau: float, k: float) -> "ClassicalEnsemble":
-        """``n_particles`` at action ``I0``; angles are drawn at run time."""
-        if n_particles < 1:
-            raise ValueError(f"need at least one particle, got {n_particles}")
-        particles = tuple(ClassicalParticle(I0, 0.0) for _ in range(n_particles))
-        return cls(particles, I0, tau, k)
-
-    @classmethod
-    def with_random_angles(
-        cls, n_particles: int, I0: float, tau: float, k: float, seed: _SeedLike
+    def prepared(
+        cls, n_particles: int, I0: float, tau: float, k: float, seed: _SeedLike = None
     ) -> "ClassicalEnsemble":
-        """``n_particles`` at action ``I0`` with i.i.d. uniform angles."""
-        if n_particles < 1:
-            raise ValueError(f"need at least one particle, got {n_particles}")
-        angles = np.random.default_rng(seed).uniform(0.0, _TWO_PI, n_particles)
-        particles = tuple(ClassicalParticle(I0, float(th)) for th in angles)
-        return cls(particles, I0, tau, k)
+        """``n_particles`` at action ``I0``, angles i.i.d. uniform from ``seed``
+        (reproducible for a fixed seed or generator state)."""
+        return cls(np.random.default_rng(seed).uniform(0.0, _TWO_PI, n_particles), I0, tau, k)
 
 
 def classical_step(p: ClassicalParticle, k: float, tau: float) -> ClassicalParticle:
@@ -93,62 +93,37 @@ def _step_arrays(actions: np.ndarray, angles: np.ndarray, k: float, tau: float) 
     np.mod(angles, _TWO_PI, out=angles)
 
 
-def _initial_arrays(
-    ensemble: ClassicalEnsemble, seed: _SeedLike
-) -> tuple[np.ndarray, np.ndarray]:
-    if not ensemble.particles:
-        raise ValueError("ensemble is empty")
-    n = len(ensemble.particles)
-    if seed is None:
-        actions = np.array([p.action for p in ensemble.particles])
-        angles = np.array([p.angle for p in ensemble.particles])
-    else:
-        # Standard protocol: delta in action at I0, fresh uniform angles.
-        actions = np.full(n, float(ensemble.I0))
-        angles = np.random.default_rng(seed).uniform(0.0, _TWO_PI, n)
-    return actions, angles
-
-
-def ensemble_diffusion(
-    ensemble: ClassicalEnsemble, steps: int, seed: _SeedLike = None
-) -> float:
+def ensemble_diffusion(ensemble: ClassicalEnsemble, steps: int) -> float:
     """Diffusion-rate estimate ``<(I_t - I0)^2> / (2 t)`` at ``t = steps * tau``.
 
-    With ``seed`` given, the particles start at ``I0`` with angles drawn
-    i.i.d. uniform from that seed (bit-reproducible); with ``seed=None`` the
-    ensemble's own particles are evolved as stored. Warns when ``K <= K_c``,
-    where the motion is not globally chaotic and a diffusion rate is not
-    meaningful.
+    The final dispersion of ``ensemble_series`` over ``2 t``. Warns when
+    ``K <= K_c``, where the motion is not globally chaotic and a diffusion
+    rate is not meaningful.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    series = ensemble_series(ensemble, steps)
     if not ensemble.chaotic:
         warnings.warn(
             f"K = {ensemble.K:.4f} <= K_c = {K_CRITICAL}; motion is not globally "
             "chaotic and the diffusion estimate is unreliable",
             stacklevel=2,
         )
-    actions, angles = _initial_arrays(ensemble, seed)
-    for _ in range(steps):
-        _step_arrays(actions, angles, ensemble.k, ensemble.tau)
-    spread = actions - ensemble.I0
-    return float(np.mean(spread * spread) / (2.0 * steps * ensemble.tau))
+    return float(series.dispersion[-1] / (2.0 * steps * ensemble.tau))
 
 
-def ensemble_series(
-    ensemble: ClassicalEnsemble, steps: int, seed: _SeedLike = None
-):
+def ensemble_series(ensemble: ClassicalEnsemble, steps: int):
     """Per-kick dispersion record in the same shape the quantum runs emit.
 
-    Entries are ``(j, <(I - I0)^2>, 1.0, fraction within half a cell of I0)``
-    so classical curves drop into the same CSV schema and charts.
+    Evolves a copy of the stored angles from action ``I0``. Entries are
+    ``(j, <(I - I0)^2>, 1.0, fraction within half a cell of I0)`` so
+    classical curves drop into the same CSV schema and charts.
     """
     from .observables import DispersionSeries  # local import, avoids cycle at import time
 
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    actions, angles = _initial_arrays(ensemble, seed)
-    n = actions.size
+    angles = ensemble.particles.copy()
+    n = angles.size
+    actions = np.full(n, float(ensemble.I0))
     j = np.arange(steps + 1)
     dispersion = np.zeros(steps + 1)
     p_home = np.zeros(steps + 1)

@@ -15,11 +15,13 @@ from typing import Optional, Sequence
 from .classical import ClassicalEnsemble, ensemble_diffusion
 from .errors import ConfigError, TruncationOverflowError
 from .runner import (
+    PRESETS,
     emit_chart,
     parse_config,
     render_csv,
     run_experiment,
     write_csv,
+    write_text_atomic,
 )
 from .two_level import monte_carlo_measured_evolve, zeno_survival, ProbabilityPair
 
@@ -41,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute a config-driven experiment")
     run.add_argument("config", help="path to a 'key = value' run document")
-    run.add_argument("--preset", choices=("a", "b", "c", "d"),
+    run.add_argument("--preset", choices=tuple(PRESETS),
                      help="measurement scenario preset")
     run.add_argument("--seed", type=int, help="override the config seed")
     run.add_argument("--out", help="CSV output path (default: config output_path, else stdout)")
@@ -116,8 +118,7 @@ def _cmd_zeno(args: argparse.Namespace) -> int:
             f"{n},{closed.p1!r},{closed.p2!r},{exp_approx!r},{leading!r},"
             f"{mc.p1!r},{mc.p2!r},{stderr!r}",
         ]
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+        write_text_atomic(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
         return EXIT_OK
     print(f"segments:              n = {n}")
@@ -130,8 +131,8 @@ def _cmd_zeno(args: argparse.Namespace) -> int:
 
 
 def _cmd_classical(args: argparse.Namespace) -> int:
-    ensemble = ClassicalEnsemble.prepared(args.particles, args.i0, args.tau, args.k)
-    estimate = ensemble_diffusion(ensemble, args.steps, args.seed)
+    ensemble = ClassicalEnsemble.prepared(args.particles, args.i0, args.tau, args.k, args.seed)
+    estimate = ensemble_diffusion(ensemble, args.steps)
     quasilinear = args.k**2 / (4.0 * args.tau)
     print(f"K = tau*k = {ensemble.K:g}  (chaotic: {ensemble.chaotic})")
     print(f"diffusion estimate:   B = {estimate:.4f}  "

@@ -13,8 +13,8 @@ Measurement phases for realization ``r`` come from the substream
 once from ``SeedSequence(seed)`` and shared by every realization (the
 spectrum is a property of the system, not of the trajectory). Realizations
 may evolve on a thread pool capped by the ``ZENO_MAP_THREADS`` environment
-variable; results are aggregated in realization order, so output bytes do
-not depend on the thread count.
+variable (default: the CPUs the process may run on); results are aggregated
+in realization order, so output bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import secrets
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,19 +41,19 @@ from .kick_engine import (
     step,
 )
 from .measurement import (
+    MeasurementMode,
     MeasurementSchedule,
     PhaseRandomizer,
     apply_measurement,
     should_measure,
 )
 from .observables import DispersionSeries, dispersion
-from .two_level import ProbabilityPair, measured_evolve_closed
 
 THREADS_ENV = "ZENO_MAP_THREADS"
 
 EXPERIMENTS = ("zeno", "kicked", "classical")
 SPECTRA = ("rotator", "linear", "random")
-MODES = ("none", "initial", "subset", "all")
+MODES = tuple(mode.value for mode in MeasurementMode) + ("initial",)
 
 # Scenario presets: measurement schedule per curve label.
 PRESETS = {
@@ -88,14 +89,14 @@ class ExperimentConfig:
         return BasisWindow.centered(self.m0, self.window_halfwidth)
 
     def schedule(self) -> MeasurementSchedule:
-        mode = self.measurement_mode
-        if mode == "none":
-            return MeasurementSchedule.none()
-        if mode == "all":
-            return MeasurementSchedule.all_states(self.measurement_period)
-        if mode == "initial":
+        """The schedule of this config; ``"initial"`` reads out ``m0`` alone."""
+        if self.measurement_mode == "initial":
+            if self.subset is not None:
+                raise ValueError("subset given but mode is initial")
             return MeasurementSchedule.subset_of((self.m0,), self.measurement_period)
-        return MeasurementSchedule.subset_of(self.subset, self.measurement_period)
+        return MeasurementSchedule(
+            MeasurementMode(self.measurement_mode), self.measurement_period, self.subset
+        )
 
     def spectrum_model(self, window: BasisWindow) -> SpectrumModel:
         if self.spectrum == "rotator":
@@ -106,7 +107,7 @@ class ExperimentConfig:
 
     def with_preset(self, letter: str) -> "ExperimentConfig":
         if letter not in PRESETS:
-            raise ConfigError(f"unknown preset '{letter}'; choose one of a, b, c, d")
+            raise ConfigError(f"unknown preset '{letter}'; choose one of {', '.join(PRESETS)}")
         return dataclasses.replace(self, subset=None, **PRESETS[letter])
 
 
@@ -210,16 +211,16 @@ def _validate_config(config: ExperimentConfig, where: dict[str, int]) -> None:
         _fail("must be >= 1", "particles", where)
     if config.seed < 0:
         _fail("must be >= 0", "seed", where)
-    if config.measurement_mode == "subset":
-        if not config.subset:
-            _fail("required when measurement_mode = subset", "subset", where)
+    try:
+        config.schedule()
+    except ValueError as err:
+        raise ConfigError(str(err), "subset", where.get("subset")) from None
+    if config.subset is not None:
         lo = config.m0 - config.window_halfwidth
         hi = config.m0 + config.window_halfwidth
         bad = [m for m in config.subset if not lo <= m <= hi]
         if bad:
             _fail(f"states {bad} outside the window [{lo}, {hi}]", "subset", where)
-    elif config.subset is not None:
-        _fail("only allowed when measurement_mode = subset", "subset", where)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +240,8 @@ class RunRecord:
 def _thread_budget() -> int:
     raw = os.environ.get(THREADS_ENV)
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         threads = int(raw)
@@ -295,29 +298,23 @@ def _simulate_kicked(config: ExperimentConfig, realization: int) -> DispersionSe
 
 
 def _simulate_classical(config: ExperimentConfig, realization: int) -> DispersionSeries:
-    ensemble = ClassicalEnsemble.prepared(
-        config.particles, float(config.m0), config.tau, config.k
-    )
     seq = np.random.SeedSequence(config.seed, spawn_key=(0, realization))
-    rng = np.random.Generator(np.random.PCG64(seq))
-    return ensemble_series(ensemble, config.n_kicks, rng)
+    ensemble = ClassicalEnsemble.prepared(
+        config.particles, float(config.m0), config.tau, config.k,
+        seed=np.random.Generator(np.random.PCG64(seq)),
+    )
+    return ensemble_series(ensemble, config.n_kicks)
 
 
 def _simulate_zeno(config: ExperimentConfig, realization: int) -> DispersionSeries:
-    # Closed-form measured evolution of the two-level system. For the ladder
-    # m in {m0, m0 + 1}, the momentum dispersion reduces to the transfer
-    # probability p2, and p_m0 is the survival probability p1.
+    # Closed-form measured evolution of the two-level system from level 1. For
+    # the ladder m in {m0, m0 + 1}, the momentum dispersion reduces to the
+    # transfer probability p2, and p_m0 is the survival probability p1.
+    # np.float_power, unlike ** on ints, matches measured_evolve_closed exactly.
     phi = 0.5 * config.omega * config.tau
-    start = ProbabilityPair(1.0, 0.0)
-    n = config.n_kicks
-    j = np.arange(n + 1)
-    disp = np.zeros(n + 1)
-    p_home = np.ones(n + 1)
-    for idx in range(n + 1):
-        p = measured_evolve_closed(start, phi, idx)
-        disp[idx] = p.p2
-        p_home[idx] = p.p1
-    return DispersionSeries(j, disp, np.ones(n + 1), p_home)
+    j = np.arange(config.n_kicks + 1)
+    contrast = np.float_power(math.cos(2.0 * phi), j)
+    return DispersionSeries(j, 0.5 * (1.0 - contrast), np.ones(j.size), 0.5 * (1.0 + contrast))
 
 
 _SIMULATORS = {
@@ -376,11 +373,23 @@ def render_csv(series: DispersionSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text_atomic(path: str, text: str) -> None:
+    """Write UTF-8 ``text`` to ``path`` via a temporary file that ``os.replace``
+    moves into place; the file gets ``open(path, "w")``'s mode (0666 less the
+    umask), and on failure an existing ``path`` is left unchanged."""
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_csv(record: RunRecord, path: str) -> None:
     """Write the aggregate series as ``j,dispersion,norm,p_m0`` rows."""
-    text = render_csv(record.aggregate)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    write_text_atomic(path, render_csv(record.aggregate))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +506,4 @@ def render_chart(records: Sequence[RunRecord]) -> str:
 
 def emit_chart(records: Sequence[RunRecord], path: str) -> None:
     """Write the dispersion chart for one or more records as an SVG file."""
-    text = render_chart(records)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    write_text_atomic(path, render_chart(records))

@@ -166,8 +166,8 @@ def test_criterion_08_classical_baseline(curve_d_record):
     )
     b_rw = b_ql * correlation
     # clause 1: 10^4 particles, 200 steps, estimate vs Rechester-White rate +- 10%
-    ensemble = ClassicalEnsemble.prepared(10_000, 500.0, tau, k)
-    estimate = ensemble_diffusion(ensemble, 200, seed=11)
+    ensemble = ClassicalEnsemble.prepared(10_000, 500.0, tau, k, seed=11)
+    estimate = ensemble_diffusion(ensemble, 200)
     clause1 = abs(estimate - b_rw) / b_rw <= 0.10
     # clause 2: quantum every-kick slope vs the classical uncorrelated rate
     # (first-kick dispersion from uniform angles) within joint 2 sigma, and the

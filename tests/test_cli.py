@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import os
+
 import pytest
 
 from zenomap.cli import main
@@ -37,6 +39,19 @@ class TestRunCommand:
 
     def test_svg_without_path_is_config_error(self, config_file):
         assert main(["run", str(config_file), "--svg"]) == 2
+
+    def test_failed_replace_is_io_error_and_keeps_old_csv(
+        self, config_file, tmp_path, monkeypatch
+    ):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        out = tmp_path / "series.csv"
+        out.write_text("old\n")
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["run", str(config_file), "--out", str(out)]) == 4
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "series.csv"]
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 4

@@ -1,8 +1,11 @@
 """Config parsing, experiment execution, CSV and SVG output."""
 
+import os
+
 import numpy as np
 import pytest
 
+import zenomap.runner as runner
 from zenomap import (
     ConfigError,
     DispersionSeries,
@@ -85,6 +88,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("experiment = kicked\nsubset = 500\n")
 
+    def test_duplicate_subset_states_name_key_and_line(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("experiment = kicked\nmeasurement_mode = subset\nsubset = 500, 500\n")
+        assert excinfo.value.key == "subset"
+        assert excinfo.value.line == 3
+
     def test_subset_parsing_and_window_check(self):
         config = parse_config(
             "experiment = kicked\nmeasurement_mode = subset\nsubset = 500, 501\n"
@@ -165,6 +174,16 @@ class TestRunExperiment:
         monkeypatch.setenv("ZENO_MAP_THREADS", "4")
         threaded = run_experiment(_small_config())
         assert render_csv(serial.aggregate) == render_csv(threaded.aggregate)
+
+    def test_default_thread_budget_follows_cpu_affinity(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started with one usable CPU")
+
+        monkeypatch.delenv("ZENO_MAP_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+        record = run_experiment(_small_config(n_kicks=5))
+        assert len(record.realization_series) == 3
 
     def test_invalid_thread_budget_rejected(self, monkeypatch):
         monkeypatch.setenv("ZENO_MAP_THREADS", "zero")
