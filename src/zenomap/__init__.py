@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     InvalidStateError,
     NoLocalizationError,
+    NormDriftError,
     TruncationOverflowError,
     ZenomapError,
 )
@@ -80,7 +81,7 @@ __all__ = [
     "__version__",
     # errors
     "ZenomapError", "InvalidStateError", "TruncationOverflowError",
-    "NoLocalizationError", "ConfigError",
+    "NoLocalizationError", "NormDriftError", "ConfigError",
     # two-level
     "TwoLevelState", "RabiParams", "ProbabilityPair",
     "coherent_step", "coherent_evolve", "measured_probability_step",

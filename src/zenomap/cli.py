@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(probability reached the window edge), 4 I/O error.
+(probability came within one kick of the window edge, or the norm drifted),
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from .classical import ClassicalEnsemble, ensemble_diffusion
-from .errors import ConfigError, TruncationOverflowError
+from .errors import ConfigError, NormDriftError, TruncationOverflowError
 from .runner import (
     PRESETS,
     emit_chart,
@@ -151,7 +152,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except TruncationOverflowError as err:
+    except (TruncationOverflowError, NormDriftError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as err:

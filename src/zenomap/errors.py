@@ -10,17 +10,27 @@ class InvalidStateError(ZenomapError, ValueError):
 
 
 class TruncationOverflowError(ZenomapError, RuntimeError):
-    """Probability has reached the edge of the truncated momentum window.
+    """Probability has come within one kick of the truncated window's edge.
 
-    Results past this point would silently lose norm, so the offending
-    operation aborts instead. ``edge`` is ``"lower"``, ``"upper"`` or
-    ``"both"``; ``occupation`` is the total probability on the edge bins.
+    Results past this point could silently lose norm, so the offending kick
+    aborts before it runs. ``edge`` is ``"lower"``, ``"upper"`` or
+    ``"both"``; ``occupation`` is the total probability within the kernel
+    bandwidth of the window edges before the kick, which bounds the norm the
+    kick could carry out of the window.
     """
 
     def __init__(self, message: str, edge: str = "", occupation: float = 0.0):
         super().__init__(message)
         self.edge = edge
         self.occupation = occupation
+
+
+class NormDriftError(ZenomapError, ValueError):
+    """A per-kick norm record deviates from 1 beyond tolerance.
+
+    A numerical failure like :class:`TruncationOverflowError`; it subclasses
+    ``ValueError`` because it is raised while a series is validated.
+    """
 
 
 class NoLocalizationError(ZenomapError, RuntimeError):

@@ -9,20 +9,23 @@ orthogonal convolution and the only complex factors live in the free flight.
 
 The kernel is truncated where its coefficients fall below a threshold
 (Bessel coefficients decay superexponentially past ``|d| ~ k``), and the
-basis window is policed every kick: once probability reaches the window
-edges the run aborts rather than silently leaking norm.
+basis window is policed every kick: once probability comes within the
+kernel bandwidth of a window edge the run aborts rather than silently
+leaking norm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import jv
 
 from .errors import TruncationOverflowError
 
-# Window edges may carry at most this much probability before a run aborts.
+# The states within the kernel bandwidth of the window edges may carry at most
+# this much probability before a kick; past it the run aborts.
 _BOUNDARY_LIMIT = 1e-10
 _MIN_WINDOW = 16
 _MAX_KERNEL_EPS = 1e-10
@@ -62,6 +65,14 @@ class BasisWindow:
     def indices(self) -> np.ndarray:
         """Quantum numbers of every basis state, ascending."""
         return np.arange(self.m_min, self.m_max + 1)
+
+    @cached_property
+    def dispersion_weights(self) -> np.ndarray:
+        """``(m - m0)^2`` for every basis state, computed once, read-only."""
+        offsets = (self.indices() - self.m0).astype(float)
+        weights = offsets * offsets
+        weights.flags.writeable = False
+        return weights
 
     def offset(self, m: int) -> int:
         """Array position of quantum number ``m``."""
@@ -103,10 +114,11 @@ class QuantumState:
         a = self.amplitudes
         return a.real**2 + a.imag**2
 
-    def boundary_occupation(self) -> tuple[float, float]:
-        """Probability sitting on the (lower, upper) edge bins."""
+    def boundary_occupation(self, width: int) -> tuple[float, float]:
+        """Probability within ``width`` bins of the (lower, upper) window edge."""
         a = self.amplitudes
-        return (abs(a[0]) ** 2, abs(a[-1]) ** 2)
+        lo, hi = a[:width], a[a.size - width:]
+        return float(np.vdot(lo, lo).real), float(np.vdot(hi, hi).real)
 
     def copy(self) -> "QuantumState":
         return QuantumState(self.window, self.amplitudes.copy(), self.time_index)
@@ -160,41 +172,44 @@ def build_kernel(k: float, epsilon: float = 1e-14) -> KickKernel:
     return KickKernel(float(k), coefficients, d_max, epsilon)
 
 
-def _check_bandwidth(state: QuantumState, kernel: KickKernel) -> None:
+def _check_kick(state: QuantumState, kernel: KickKernel) -> None:
+    """Refuse a kick that could carry non-negligible norm out of the window.
+
+    Only amplitude within ``d_max`` bins of an edge can leave the window in
+    one kick, and the kick is unitary, so the probability there before the
+    kick bounds the norm the kick can lose.
+    """
     if kernel.coefficients.size > state.window.size:
         raise ValueError(
             f"kernel bandwidth {kernel.coefficients.size} exceeds window size "
             f"{state.window.size}"
         )
-
-
-def _check_boundary(state: QuantumState) -> QuantumState:
-    lo, hi = state.boundary_occupation()
+    lo, hi = state.boundary_occupation(kernel.d_max)
     if lo + hi >= _BOUNDARY_LIMIT:
         if lo >= _BOUNDARY_LIMIT and hi >= _BOUNDARY_LIMIT:
             edge = "both"
         else:
             edge = "lower" if lo > hi else "upper"
         raise TruncationOverflowError(
-            f"probability {lo + hi:.3e} on the {edge} window edge "
-            f"(m_min={state.window.m_min}, m_max={state.window.m_max}) "
-            f"exceeds {_BOUNDARY_LIMIT:g}",
+            f"probability {lo + hi:.3e} within {kernel.d_max} states of the "
+            f"{edge} window edge (m_min={state.window.m_min}, "
+            f"m_max={state.window.m_max}) exceeds {_BOUNDARY_LIMIT:g}",
             edge=edge,
             occupation=lo + hi,
         )
-    return state
 
 
 def apply_kick(state: QuantumState, kernel: KickKernel) -> QuantumState:
     """Convolve the amplitudes with the kick weights.
 
     ``a'_m = sum_n J_{m-n}(k) a_n``; unitary up to the kernel truncation.
-    Raises :class:`TruncationOverflowError` when the convolution leaves
-    non-negligible probability on a window edge.
+    Raises :class:`TruncationOverflowError`, before kicking, when the
+    probability within the kernel bandwidth of a window edge is
+    non-negligible, since the kick could carry that much out of the window.
     """
-    _check_bandwidth(state, kernel)
+    _check_kick(state, kernel)
     out = np.convolve(state.amplitudes, kernel.coefficients, mode="same")
-    return _check_boundary(QuantumState(state.window, out, state.time_index))
+    return QuantumState(state.window, out, state.time_index)
 
 
 @dataclass
@@ -275,8 +290,7 @@ def adjoint_step(
     """
     if spectrum.window != state.window:
         raise ValueError("spectrum phase table does not cover the state's window")
-    _check_bandwidth(state, kernel)
+    _check_kick(state, kernel)
     undone = state.amplitudes * np.conj(spectrum.multiplier)
     out = np.convolve(undone, kernel.coefficients[::-1], mode="same")
-    result = _check_boundary(QuantumState(state.window, out, state.time_index - 1))
-    return result
+    return QuantumState(state.window, out, state.time_index - 1)

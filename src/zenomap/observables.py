@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import NoLocalizationError
+from .errors import NoLocalizationError, NormDriftError
 from .kick_engine import QuantumState
 
 _NORM_SLACK = 1e-6
@@ -44,7 +44,7 @@ class DispersionSeries:
             raise ValueError("dispersion must be non-negative")
         if np.any(np.abs(self.norm - 1.0) > _NORM_SLACK):
             worst = float(np.max(np.abs(self.norm - 1.0)))
-            raise ValueError(f"norm drifted by {worst:.3e}, beyond {_NORM_SLACK:g}")
+            raise NormDriftError(f"norm drifted by {worst:.3e}, beyond {_NORM_SLACK:g}")
 
     def __len__(self) -> int:
         return int(self.j.size)
@@ -86,8 +86,7 @@ class BreakTimeEstimate:
 
 def dispersion(state: QuantumState) -> float:
     """``sum (m - m0)^2 |a_m|^2`` over the state's window."""
-    offsets = (state.window.indices() - state.window.m0).astype(float)
-    return float(np.dot(offsets * offsets, state.occupations()))
+    return float(np.dot(state.window.dispersion_weights, state.occupations()))
 
 
 def time_averaged_profile(states: Iterable[QuantumState]) -> np.ndarray:

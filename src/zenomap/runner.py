@@ -24,9 +24,8 @@ import math
 import os
 import secrets
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +47,7 @@ from .measurement import (
     should_measure,
 )
 from .observables import DispersionSeries, dispersion
-
-THREADS_ENV = "ZENO_MAP_THREADS"
+from .pool import map_ordered
 
 EXPERIMENTS = ("zeno", "kicked", "classical")
 SPECTRA = ("rotator", "linear", "random")
@@ -237,31 +235,6 @@ class RunRecord:
     version: str = __version__
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got '{raw}'") from None
-    if threads < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {threads}")
-    return threads
-
-
-def _map_realizations(
-    fn: Callable[[int], DispersionSeries], count: int
-) -> list[DispersionSeries]:
-    workers = min(_thread_budget(), count)
-    if workers <= 1 or count == 1:
-        return [fn(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _simulate_kicked(config: ExperimentConfig, realization: int) -> DispersionSeries:
     window = config.window()
     kernel = build_kernel(config.k)
@@ -343,9 +316,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """
     t0 = time.perf_counter()
     simulate = _SIMULATORS[config.experiment]
-    series = _map_realizations(
-        lambda r: simulate(config, r), config.realizations
-    )
+    series = map_ordered(lambda r: simulate(config, r), config.realizations)
     record = RunRecord(
         config=config,
         realization_series=series,

@@ -16,11 +16,13 @@ closed form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidStateError
+from .pool import map_ordered, thread_budget
 
 # Inputs are rejected as un-normalized beyond this; unitary steps preserve
 # the norm far more tightly than this on their own.
@@ -184,26 +186,69 @@ def monte_carlo_measured_evolve(
     randomized amplitudes. The trial average converges to
     :func:`measured_evolve_closed` since the interference term has zero mean.
 
-    Two phase vectors are drawn per step (``alpha1`` then ``alpha2``), which
-    fixes the stream layout for reproducibility.
+    Stream layout: ``default_rng(seed)`` gives, per step, ``alpha1`` for all
+    trials and then ``alpha2`` for all trials. The trials are split into
+    contiguous chunks, one per thread of the ``ZENO_MAP_THREADS`` budget
+    (see :mod:`zenomap.pool`); each chunk jumps ahead in that one stream to
+    its own slice of every block, so the result is bit-identical for any
+    thread count. An invalid thread setting raises :class:`ConfigError`.
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rng = np.random.default_rng(seed)
+    start = np.random.default_rng(seed).bit_generator.state
     p1 = np.full(trials, p0.p1)
     p2 = np.full(trials, p0.p2)
     c = math.cos(phi)
     s = math.sin(phi)
     c2, s2, sin2phi = c * c, s * s, 2.0 * c * s
-    for _ in range(n):
-        alpha1 = rng.uniform(0.0, 2.0 * math.pi, trials)
-        alpha2 = rng.uniform(0.0, 2.0 * math.pi, trials)
-        cross = sin2phi * np.sqrt(p1 * p2) * np.sin(alpha1 - alpha2)
-        p1, p2 = c2 * p1 + s2 * p2 + cross, s2 * p1 + c2 * p2 - cross
-        # analytically >= 0; clamp tiny negative roundoff before the sqrt
-        np.maximum(p1, 0.0, out=p1)
-        np.maximum(p2, 0.0, out=p2)
+
+    def evolve_chunk(lo: int, hi: int) -> None:
+        size = hi - lo
+        bitgen = np.random.PCG64()
+        bitgen.state = start
+        bitgen.advance(lo)
+        rng = np.random.Generator(bitgen)
+        q1, q2 = p1[lo:hi], p2[lo:hi]
+        a1, a2, cross = np.empty(size), np.empty(size), np.empty(size)
+        for _ in range(n):
+            # uniform(0, 2 pi) draws 0 + 2 pi * next_double; each block of the
+            # stream holds every trial, so skip the other chunks' draws
+            rng.random(out=a1)
+            a1 *= 2.0 * math.pi
+            bitgen.advance(trials - size)
+            rng.random(out=a2)
+            a2 *= 2.0 * math.pi
+            bitgen.advance(trials - size)
+            # In place, in the operation order of
+            #   cross = sin2phi * sqrt(q1 q2) * sin(alpha1 - alpha2)
+            #   q1, q2 = c2 q1 + s2 q2 + cross, s2 q1 + c2 q2 - cross
+            # so every bit matches the whole-array form. Both populations are
+            # analytically >= 0; clamp roundoff before the next sqrt.
+            np.subtract(a1, a2, out=a1)
+            np.sin(a1, out=a1)
+            np.multiply(q1, q2, out=cross)
+            np.sqrt(cross, out=cross)
+            cross *= sin2phi
+            cross *= a1
+            np.multiply(q1, c2, out=a1)
+            np.multiply(q2, s2, out=a2)
+            a1 += a2
+            a1 += cross
+            np.multiply(q1, s2, out=a2)
+            q2 *= c2
+            np.add(a2, q2, out=q2)
+            q2 -= cross
+            np.maximum(q2, 0.0, out=q2)
+            np.maximum(a1, 0.0, out=q1)
+
+    if n:
+        workers = min(thread_budget(), trials)
+        map_ordered(
+            lambda i: evolve_chunk(trials * i // workers, trials * (i + 1) // workers),
+            workers,
+        )
     total = p1 + p2
     return ProbabilityPair(float(np.mean(p1 / total)), float(np.mean(p2 / total)))

@@ -4,6 +4,9 @@ import os
 
 import pytest
 
+import zenomap.pool as pool
+import zenomap.runner as runner
+from zenomap import QuantumState
 from zenomap.cli import main
 
 
@@ -68,6 +71,16 @@ class TestRunCommand:
         )
         assert main(["run", str(path)]) == 3
 
+    def test_norm_drift_is_numerical_error(self, config_file, monkeypatch):
+        real_step = runner.step
+
+        def leaky_step(state, kernel, spectrum):
+            out = real_step(state, kernel, spectrum)
+            return QuantumState(out.window, out.amplitudes * (1 + 1e-5), out.time_index)
+
+        monkeypatch.setattr(runner, "step", leaky_step)
+        assert main(["run", str(config_file)]) == 3
+
     def test_seed_override_changes_measured_output(self, config_file, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -101,6 +114,20 @@ class TestZenoCommand:
 
     def test_invalid_n_is_config_error(self):
         assert main(["zeno", "--n", "0"]) == 2
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started with one usable CPU")
+
+        monkeypatch.delenv("ZENO_MAP_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
+        assert main(["zeno", "--n", "8", "--trials", "1000"]) == 0
+
+    @pytest.mark.parametrize("threads", ["zero", "0"])
+    def test_invalid_thread_budget_is_config_error(self, monkeypatch, threads):
+        monkeypatch.setenv("ZENO_MAP_THREADS", threads)
+        assert main(["zeno", "--n", "8", "--trials", "1000"]) == 2
 
 
 class TestClassicalCommand:

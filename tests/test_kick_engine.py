@@ -123,6 +123,32 @@ class TestApplyKick:
         assert excinfo.value.edge == "upper"
         assert "upper" in str(excinfo.value)
 
+    def test_edge_mass_raises_before_a_kick_that_would_lose_norm(self):
+        # At the first zero of J_0 the edge bin empties after the kick, while
+        # half of the norm would leave the window.
+        window = BasisWindow(0, 99, m0=99)
+        kernel = build_kernel(2.404825557695773)
+        with pytest.raises(TruncationOverflowError) as excinfo:
+            apply_kick(QuantumState.delta(window), kernel)
+        assert excinfo.value.edge == "upper"
+        assert excinfo.value.occupation == pytest.approx(1.0)
+
+    def test_adjoint_step_checks_the_edges_too(self, kernel10):
+        window = BasisWindow(0, 199, m0=0)
+        spectrum = SpectrumModel.rotator(window, tau=1.0)
+        with pytest.raises(TruncationOverflowError) as excinfo:
+            adjoint_step(QuantumState.delta(window), kernel10, spectrum)
+        assert excinfo.value.edge == "lower"
+
+    def test_boundary_occupation_sums_the_edge_bands(self):
+        window = BasisWindow.centered(0, 10)
+        amps = np.zeros(window.size, complex)
+        amps[[0, 2, 3, -3, -1]] = [0.1, 0.2j, 0.3, 0.4 - 0.4j, 0.5]
+        lo, hi = QuantumState(window, amps).boundary_occupation(3)
+        assert lo == pytest.approx(0.01 + 0.04 + 0.0, abs=1e-15)
+        assert hi == pytest.approx(0.32 + 0.25, abs=1e-15)
+        assert QuantumState(window, amps).boundary_occupation(0) == (0.0, 0.0)
+
     def test_kernel_wider_than_window_rejected(self, kernel10):
         window = BasisWindow.centered(0, 8)  # 17 states < 65-wide kernel
         with pytest.raises(ValueError):

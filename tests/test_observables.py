@@ -7,6 +7,7 @@ from zenomap import (
     BasisWindow,
     DispersionSeries,
     NoLocalizationError,
+    NormDriftError,
     QuantumState,
     apply_kick,
     detect_break_time,
@@ -32,6 +33,14 @@ class TestDispersion:
     def test_single_kick_increment(self, kernel10):
         state = QuantumState.delta(BasisWindow.centered(500, 100))
         assert dispersion(apply_kick(state, kernel10)) == pytest.approx(50.0, abs=1e-10)
+
+
+    def test_weights_are_cached_read_only_squared_offsets(self):
+        window = BasisWindow.centered(7, 40)
+        weights = window.dispersion_weights
+        assert weights is window.dispersion_weights
+        assert not weights.flags.writeable
+        assert np.array_equal(weights, (window.indices() - 7).astype(float) ** 2)
 
 
 class TestTimeAveragedProfile:
@@ -185,6 +194,13 @@ class TestSeriesValidation:
             DispersionSeries(
                 np.array([0, 1]), np.zeros(2), np.array([1.0, 1.1]), np.ones(2)
             )
+
+    def test_norm_drift_is_a_numerical_failure(self):
+        with pytest.raises(NormDriftError) as excinfo:
+            DispersionSeries(
+                np.array([0, 1]), np.zeros(2), np.array([1.0, 1.0 + 2e-6]), np.ones(2)
+            )
+        assert isinstance(excinfo.value, ValueError)
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-import zenomap.runner as runner
+import zenomap.pool as pool
 from zenomap import (
     ConfigError,
     DispersionSeries,
@@ -181,7 +181,7 @@ class TestRunExperiment:
 
         monkeypatch.delenv("ZENO_MAP_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
         record = run_experiment(_small_config(n_kicks=5))
         assert len(record.realization_series) == 3
 

@@ -1,6 +1,7 @@
 """Two-level dynamics: coherent rotation, measured hopping, Zeno limit."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -253,6 +254,49 @@ class TestMonteCarlo:
         mc = monte_carlo_measured_evolve(ProbabilityPair(1.0, 0.0), phi, n, trials, seed)
         assert mc.p1 == pytest.approx(oracle.p1, abs=1e-12)
         assert mc.p2 == pytest.approx(oracle.p2, abs=1e-12)
+
+
+def _serial_monte_carlo(p0, phi, n, trials, seed):
+    # the single-threaded loop the chunked trials must reproduce bit for bit
+    rng = np.random.default_rng(seed)
+    p1 = np.full(trials, p0.p1)
+    p2 = np.full(trials, p0.p2)
+    c = math.cos(phi)
+    s = math.sin(phi)
+    c2, s2, sin2phi = c * c, s * s, 2.0 * c * s
+    for _ in range(n):
+        alpha1 = rng.uniform(0.0, 2.0 * math.pi, trials)
+        alpha2 = rng.uniform(0.0, 2.0 * math.pi, trials)
+        cross = sin2phi * np.sqrt(p1 * p2) * np.sin(alpha1 - alpha2)
+        p1, p2 = c2 * p1 + s2 * p2 + cross, s2 * p1 + c2 * p2 - cross
+        np.maximum(p1, 0.0, out=p1)
+        np.maximum(p2, 0.0, out=p2)
+    total = p1 + p2
+    return ProbabilityPair(float(np.mean(p1 / total)), float(np.mean(p2 / total)))
+
+
+@pytest.mark.parametrize("trials,threads", [(1, 4), (7, 3), (1000, 2), (1001, 5)])
+@pytest.mark.parametrize("n", [0, 1, 17])
+def test_monte_carlo_chunks_replay_the_serial_stream(monkeypatch, trials, threads, n):
+    monkeypatch.setenv("ZENO_MAP_THREADS", str(threads))
+    p0 = ProbabilityPair(0.75, 0.25)
+    oracle = _serial_monte_carlo(p0, 0.37, n, trials, seed=8)
+    assert monte_carlo_measured_evolve(p0, 0.37, n, trials, seed=8) == oracle
+
+
+def test_monte_carlo_chunks_survive_frequent_thread_switches(monkeypatch):
+    # more threads than cores, switching often: a chunk that wrote outside
+    # its own slice, or read another's draws, would break the equality
+    monkeypatch.setenv("ZENO_MAP_THREADS", "8")
+    p0 = ProbabilityPair(0.75, 0.25)
+    oracle = _serial_monte_carlo(p0, 0.21, 40, 4099, seed=3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = monte_carlo_measured_evolve(p0, 0.21, 40, 4099, seed=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result == oracle
 
 
 def test_phase_difference_interference_averages_out():
