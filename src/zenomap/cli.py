@@ -17,6 +17,7 @@ from .classical import ClassicalEnsemble, ensemble_diffusion
 from .errors import ConfigError, NormDriftError, TruncationOverflowError
 from .runner import (
     PRESETS,
+    _validate_config,
     emit_chart,
     parse_config,
     render_csv,
@@ -81,6 +82,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, output_path=args.out)
     if args.svg:
         config = dataclasses.replace(config, emit_svg=True)
+    # The overrides bypass parse_config's checks; no line to cite for them.
+    _validate_config(config, {})
     if config.emit_svg and config.output_path is None:
         raise ConfigError("an SVG chart needs an output path; pass --out")
     record = run_experiment(config)

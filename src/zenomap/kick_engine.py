@@ -108,7 +108,7 @@ class QuantumState:
 
     def norm_sq(self) -> float:
         a = self.amplitudes
-        return float(np.sum(a.real**2 + a.imag**2))
+        return float(np.vdot(a, a).real)
 
     def occupations(self) -> np.ndarray:
         a = self.amplitudes

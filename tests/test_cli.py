@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+import zenomap.cli as cli
+import zenomap.measurement as measurement
 import zenomap.pool as pool
 import zenomap.runner as runner
 from zenomap import QuantumState
@@ -80,6 +82,29 @@ class TestRunCommand:
 
         monkeypatch.setattr(runner, "step", leaky_step)
         assert main(["run", str(config_file)]) == 3
+
+    def test_norm_drift_in_full_readout_is_numerical_error(
+        self, config_file, monkeypatch
+    ):
+        real_factors = measurement._phase_factors
+
+        def leaky_factors(betas):
+            return real_factors(betas) * (1 + 1e-5)
+
+        monkeypatch.setattr(measurement, "_phase_factors", leaky_factors)
+        assert main(["run", str(config_file), "--preset", "d"]) == 3
+
+    def test_negative_seed_override_is_config_error(
+        self, config_file, monkeypatch, capsys
+    ):
+        def no_run(config):
+            raise AssertionError("the simulation started with an invalid seed")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        assert main(["run", str(config_file), "--seed", "-2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "key 'seed'" in err
 
     def test_seed_override_changes_measured_output(self, config_file, tmp_path):
         out1 = tmp_path / "a.csv"

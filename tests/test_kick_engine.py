@@ -296,6 +296,15 @@ class TestTypes:
         assert state.norm_sq() == 1.0
         assert state.time_index == 0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_norm_sq_matches_sum_of_squared_parts(self, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=4001) + 1j * rng.normal(size=4001)
+        amps *= rng.uniform(0.1, 10.0)
+        state = QuantumState(BasisWindow.centered(500, 2000), amps)
+        reference = math.fsum(amps.real**2) + math.fsum(amps.imag**2)
+        assert abs(state.norm_sq() - reference) <= 1e-15 * reference
+
     def test_amplitude_length_checked(self):
         with pytest.raises(ValueError):
             QuantumState(BasisWindow.centered(0, 10), np.zeros(5, complex))

@@ -16,6 +16,7 @@ from zenomap import (
     dispersion,
     should_measure,
 )
+from zenomap.measurement import _PHASE_STEP, _phase_factors
 
 
 class TestSchedule:
@@ -120,6 +121,42 @@ class TestApplyMeasurement:
         # phases never enter the dispersion sum; equality up to roundoff of
         # the occupation products
         assert dispersion(out) == pytest.approx(dispersion(state), rel=1e-13)
+
+
+class TestPhaseFactors:
+    """The table-and-residual factors against ``np.exp(1j * beta)``."""
+
+    @staticmethod
+    def _edge_phases() -> np.ndarray:
+        h = np.unique(np.concatenate([
+            np.arange(0, 17), np.arange(4080, 4096),
+            np.random.default_rng(3).integers(0, 4096, 500),
+        ]))
+        split = h * _PHASE_STEP
+        return np.concatenate([
+            [0.0, np.nextafter(2 * np.pi, 0)], split, np.nextafter(split, 0),
+        ])
+
+    @pytest.mark.parametrize("which", ["uniform", "edges"])
+    def test_matches_complex_exponential(self, which):
+        if which == "uniform":
+            betas = np.random.default_rng(20).uniform(0.0, 2 * np.pi, 10**6)
+        else:
+            betas = self._edge_phases()
+        assert np.all((betas >= 0.0) & (betas < 2 * np.pi))
+        factors = _phase_factors(betas.copy())
+        assert np.max(np.abs(factors - np.exp(1j * betas))) <= 2e-15
+        assert np.max(np.abs(np.abs(factors) - 1.0)) <= 2e-15
+
+    def test_full_readout_consumes_one_draw_per_state(self):
+        window = BasisWindow.centered(0, 300)
+        state = _random_state(window, 9)
+        used, reference = PhaseRandomizer(13, 4), PhaseRandomizer(13, 4)
+        out = apply_measurement(state, MeasurementSchedule.all_states(), used)
+        betas = reference.phases(window.size)
+        assert used._rng.bit_generator.state == reference._rng.bit_generator.state
+        assert np.allclose(out.amplitudes, state.amplitudes * np.exp(1j * betas),
+                           rtol=0, atol=4e-15)
 
 
 class TestPhaseRandomizer:
