@@ -16,7 +16,9 @@ from typing import Optional, Sequence
 from .classical import ClassicalEnsemble, ensemble_diffusion
 from .errors import ConfigError, NormDriftError, TruncationOverflowError
 from .runner import (
+    CONFIG_KEYS,
     PRESETS,
+    _number,
     _validate_config,
     emit_chart,
     parse_config,
@@ -33,17 +35,37 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
+def _checked(convert):
+    """An argparse ``type=`` that reports ``convert``'s ``ValueError`` message."""
+
+    def typed(raw: str):
+        try:
+            return convert(raw)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return typed
+
+
+def _like(key: str):
+    """An argparse ``type=`` that parses and bounds a value like config ``key``."""
+    return _checked(CONFIG_KEYS[key].convert)
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # With exit_on_error=False a bad option value reaches main() as an
+    # ArgumentError naming the option, reported as a configuration error.
     parser = argparse.ArgumentParser(
         prog="zenomap",
         description=(
             "Kicked-rotator quantum maps under repeated measurement, "
             "two-level survival experiments, and a classical ensemble baseline."
         ),
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute a config-driven experiment")
+    run = sub.add_parser("run", help="execute a config-driven experiment", exit_on_error=False)
     run.add_argument("config", help="path to a 'key = value' run document")
     run.add_argument("--preset", choices=tuple(PRESETS),
                      help="measurement scenario preset")
@@ -52,20 +74,23 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--svg", action="store_true", help="also write an SVG chart next to the CSV")
     run.set_defaults(func=_cmd_run)
 
-    zeno = sub.add_parser("zeno", help="two-level survival under n measured segments")
-    zeno.add_argument("--n", type=int, required=True, help="number of drive segments")
-    zeno.add_argument("--trials", type=int, default=100_000, help="Monte-Carlo trials")
-    zeno.add_argument("--seed", type=int, default=0)
+    zeno = sub.add_parser("zeno", help="two-level survival under n measured segments",
+                          exit_on_error=False)
+    zeno.add_argument("--n", type=_like("n_kicks"), required=True, help="number of drive segments")
+    zeno.add_argument("--trials", type=_like("realizations"), default=100_000,
+                      help="Monte-Carlo trials")
+    zeno.add_argument("--seed", type=_like("seed"), default=0)
     zeno.add_argument("--out", help="write results as CSV instead of a text summary")
     zeno.set_defaults(func=_cmd_zeno)
 
-    classical = sub.add_parser("classical", help="standard-map ensemble diffusion")
-    classical.add_argument("--particles", type=int, default=10_000)
-    classical.add_argument("--steps", type=int, default=200)
-    classical.add_argument("--k", type=float, default=10.0)
-    classical.add_argument("--tau", type=float, default=1.0)
-    classical.add_argument("--i0", type=float, default=500.0)
-    classical.add_argument("--seed", type=int, default=0)
+    classical = sub.add_parser("classical", help="standard-map ensemble diffusion",
+                               exit_on_error=False)
+    classical.add_argument("--particles", type=_like("particles"), default=10_000)
+    classical.add_argument("--steps", type=_like("n_kicks"), default=200)
+    classical.add_argument("--k", type=_like("k"), default=10.0)
+    classical.add_argument("--tau", type=_like("tau"), default=1.0)
+    classical.add_argument("--i0", type=_checked(_number), default=500.0)
+    classical.add_argument("--seed", type=_like("seed"), default=0)
     classical.set_defaults(func=_cmd_classical)
     return parser
 
@@ -108,8 +133,6 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 def _cmd_zeno(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 1:
-        raise ConfigError(f"--n must be >= 1, got {n}")
     closed = zeno_survival(n)
     exp_approx = 0.5 * (1.0 - math.exp(-math.pi**2 / (2.0 * n)))
     leading = math.pi**2 / (4.0 * n)
@@ -149,10 +172,10 @@ def _cmd_classical(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, argparse.ArgumentError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (TruncationOverflowError, NormDriftError) as err:

@@ -30,10 +30,6 @@ _BOUNDARY_LIMIT = 1e-10
 _MIN_WINDOW = 16
 _MAX_KERNEL_EPS = 1e-10
 
-ROTATOR = "rotator"
-LINEAR = "linear"
-RANDOM_LEVELS = "random"
-
 
 @dataclass(frozen=True)
 class BasisWindow:
@@ -224,7 +220,6 @@ class SpectrumModel:
     to the spectrum.
     """
 
-    variant: str
     tau: float
     phase_table: np.ndarray
     window: BasisWindow
@@ -241,14 +236,14 @@ class SpectrumModel:
         """Quadratic spectrum ``H0(m) = m^2 / 2`` (kicked rotator)."""
         m = window.indices().astype(float)
         table = np.mod(0.5 * m * m * tau, 2.0 * np.pi)
-        return cls(ROTATOR, tau, table, window)
+        return cls(tau, table, window)
 
     @classmethod
     def linear(cls, window: BasisWindow, tau: float, omega: float) -> "SpectrumModel":
         """Equidistant spectrum ``H0(m) = omega * m`` (harmonic ladder)."""
         m = window.indices().astype(float)
         table = np.mod(omega * m * tau, 2.0 * np.pi)
-        return cls(LINEAR, tau, table, window)
+        return cls(tau, table, window)
 
     @classmethod
     def random_levels(cls, window: BasisWindow, tau: float, seed: int) -> "SpectrumModel":
@@ -257,7 +252,7 @@ class SpectrumModel:
         Reproducible from ``seed``; the draw order follows ascending ``m``.
         """
         g = np.random.default_rng(seed).random(window.size)
-        return cls(RANDOM_LEVELS, tau, 2.0 * np.pi * g, window)
+        return cls(tau, 2.0 * np.pi * g, window)
 
 
 def apply_free(state: QuantumState, spectrum: SpectrumModel) -> QuantumState:

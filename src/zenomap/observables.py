@@ -49,14 +49,6 @@ class DispersionSeries:
     def __len__(self) -> int:
         return int(self.j.size)
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[tuple]) -> "DispersionSeries":
-        rows = list(entries)
-        if not rows:
-            raise ValueError("series is empty")
-        j, d, n, p = (np.array(col) for col in zip(*rows))
-        return cls(j, d, n, p)
-
 
 @dataclass(frozen=True)
 class LocalizationFit:

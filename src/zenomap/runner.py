@@ -1,11 +1,12 @@
 """Config-driven experiment runner: scenarios, CSV series, and SVG charts.
 
 A run is described by a flat ``key = value`` text document (``#`` starts a
-comment, unknown keys are rejected). The defaults reproduce the canonical
-kicked-rotator scenario: initial state 500, kick strength 10, period 1,
-momentum window halfwidth 2000. Scenario presets a-d select the four
-measurement schedules (none / initial state every kick / all states every
-200 kicks / all states every kick).
+comment, unknown keys are rejected). ``CONFIG_KEYS`` holds each key's parser
+and bound; the command line checks its options by the same rules. The
+defaults reproduce the canonical kicked-rotator scenario: initial state 500,
+kick strength 10, period 1, momentum window halfwidth 2000. Scenario presets
+a-d select the four measurement schedules (none / initial state every kick /
+all states every 200 kicks / all states every kick).
 
 Reproducibility contract: a run is a pure function of (config, seed).
 Measurement phases for realization ``r`` come from the substream
@@ -25,7 +26,7 @@ import os
 import secrets
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -49,16 +50,19 @@ from .measurement import (
 from .observables import DispersionSeries, dispersion
 from .pool import map_ordered
 
-EXPERIMENTS = ("zeno", "kicked", "classical")
-SPECTRA = ("rotator", "linear", "random")
-MODES = tuple(mode.value for mode in MeasurementMode) + ("initial",)
-
 # Scenario presets: measurement schedule per curve label.
 PRESETS = {
     "a": {"measurement_mode": "none", "measurement_period": 1},
     "b": {"measurement_mode": "initial", "measurement_period": 1},
     "c": {"measurement_mode": "all", "measurement_period": 200},
     "d": {"measurement_mode": "all", "measurement_period": 1},
+}
+
+# Free-flight spectrum per ``spectrum`` value.
+_SPECTRA = {
+    "rotator": lambda config, window: SpectrumModel.rotator(window, config.tau),
+    "linear": lambda config, window: SpectrumModel.linear(window, config.tau, config.omega),
+    "random": lambda config, window: SpectrumModel.random_levels(window, config.tau, config.seed),
 }
 
 
@@ -97,11 +101,7 @@ class ExperimentConfig:
         )
 
     def spectrum_model(self, window: BasisWindow) -> SpectrumModel:
-        if self.spectrum == "rotator":
-            return SpectrumModel.rotator(window, self.tau)
-        if self.spectrum == "linear":
-            return SpectrumModel.linear(window, self.tau, self.omega)
-        return SpectrumModel.random_levels(window, self.tau, self.seed)
+        return _SPECTRA[self.spectrum](self, window)
 
     def with_preset(self, letter: str) -> "ExperimentConfig":
         if letter not in PRESETS:
@@ -110,130 +110,7 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
-
-_INT_KEYS = {
-    "m0", "n_kicks", "window_halfwidth", "measurement_period",
-    "seed", "realizations", "particles",
-}
-_FLOAT_KEYS = {"k", "tau", "omega"}
-_STR_KEYS = {"experiment", "spectrum", "measurement_mode", "output_path"}
-_BOOL_KEYS = {"emit_svg"}
-_LIST_KEYS = {"subset"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS | _LIST_KEYS
-
-
-def _parse_scalar(key: str, raw: str, line: int):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"expected an integer, got '{raw}'", key, line) from None
-    if key in _FLOAT_KEYS:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigError(f"expected a number, got '{raw}'", key, line) from None
-        if not math.isfinite(value):
-            raise ConfigError(f"expected a finite number, got '{raw}'", key, line)
-        return value
-    if key in _BOOL_KEYS:
-        lowered = raw.lower()
-        if lowered in ("true", "false"):
-            return lowered == "true"
-        raise ConfigError(f"expected true or false, got '{raw}'", key, line)
-    if key in _LIST_KEYS:
-        try:
-            return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(
-                f"expected comma-separated integers, got '{raw}'", key, line
-            ) from None
-    return raw
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a ``key = value`` run document."""
-    values: dict = {}
-    where: dict[str, int] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got '{line}'", line=lineno)
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _ALL_KEYS:
-            raise ConfigError("unknown key", key, lineno)
-        if key in values:
-            raise ConfigError(
-                f"duplicate key (first set on line {where[key]})", key, lineno
-            )
-        if not raw:
-            raise ConfigError("empty value", key, lineno)
-        values[key] = _parse_scalar(key, raw, lineno)
-        where[key] = lineno
-    if "experiment" not in values:
-        raise ConfigError("missing required key 'experiment'")
-    config = ExperimentConfig(**values)
-    _validate_config(config, where)
-    return config
-
-
-def _fail(message: str, key: str, where: dict[str, int]):
-    raise ConfigError(message, key, where.get(key))
-
-
-def _validate_config(config: ExperimentConfig, where: dict[str, int]) -> None:
-    if config.experiment not in EXPERIMENTS:
-        _fail(f"must be one of {', '.join(EXPERIMENTS)}", "experiment", where)
-    if config.spectrum not in SPECTRA:
-        _fail(f"must be one of {', '.join(SPECTRA)}", "spectrum", where)
-    if config.measurement_mode not in MODES:
-        _fail(f"must be one of {', '.join(MODES)}", "measurement_mode", where)
-    if config.k < 0:
-        _fail("kick strength must be >= 0", "k", where)
-    if config.tau <= 0:
-        _fail("kick period must be positive", "tau", where)
-    if config.n_kicks < 1:
-        _fail("must be >= 1", "n_kicks", where)
-    if config.window_halfwidth < 8:
-        _fail("must be >= 8 (window of at least 16 states)", "window_halfwidth", where)
-    if config.measurement_period < 1:
-        _fail("must be >= 1", "measurement_period", where)
-    if config.realizations < 1:
-        _fail("must be >= 1", "realizations", where)
-    if config.particles < 1:
-        _fail("must be >= 1", "particles", where)
-    if config.seed < 0:
-        _fail("must be >= 0", "seed", where)
-    try:
-        config.schedule()
-    except ValueError as err:
-        raise ConfigError(str(err), "subset", where.get("subset")) from None
-    if config.subset is not None:
-        lo = config.m0 - config.window_halfwidth
-        hi = config.m0 + config.window_halfwidth
-        bad = [m for m in config.subset if not lo <= m <= hi]
-        if bad:
-            _fail(f"states {bad} outside the window [{lo}, {hi}]", "subset", where)
-
-
-# ---------------------------------------------------------------------------
-# execution
-
-@dataclass
-class RunRecord:
-    """Everything one run produced."""
-
-    config: ExperimentConfig
-    realization_series: list[DispersionSeries]
-    aggregate: DispersionSeries
-    wall_time: float
-    version: str = __version__
-
+# simulators
 
 def _simulate_kicked(config: ExperimentConfig, realization: int) -> DispersionSeries:
     window = config.window()
@@ -291,10 +168,158 @@ def _simulate_zeno(config: ExperimentConfig, realization: int) -> DispersionSeri
 
 
 _SIMULATORS = {
+    "zeno": _simulate_zeno,
     "kicked": _simulate_kicked,
     "classical": _simulate_classical,
-    "zeno": _simulate_zeno,
 }
+
+
+# ---------------------------------------------------------------------------
+# config parsing
+
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"expected an integer, got '{raw}'") from None
+
+
+def _number(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got '{raw}'") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got '{raw}'")
+    return value
+
+
+def _flag(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "false"):
+        return lowered == "true"
+    raise ValueError(f"expected true or false, got '{raw}'")
+
+
+def _integers(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got '{raw}'") from None
+
+
+@dataclass(frozen=True)
+class KeyRule:
+    """How one config key is read from text, and which values it takes:
+    ``message`` is the error for a value that ``accepts`` refuses."""
+
+    parse: Callable[[str], Any]
+    accepts: Callable[[Any], bool] = lambda value: True
+    message: str = ""
+
+    def convert(self, raw: str) -> Any:
+        """Parse and check ``raw``; raises ``ValueError`` with the user's message."""
+        value = self.parse(raw)
+        if not self.accepts(value):
+            raise ValueError(self.message)
+        return value
+
+
+def _at_least(low: int, message: str = "") -> KeyRule:
+    return KeyRule(_integer, lambda value: value >= low, message or f"must be >= {low}")
+
+
+def _one_of(values: Iterable[str]) -> KeyRule:
+    values = tuple(values)
+    return KeyRule(str, values.__contains__, f"must be one of {', '.join(values)}")
+
+
+# The rule of every ExperimentConfig field, in field order. The choice keys
+# take their values from the code that dispatches on them, and the
+# ``zenomap zeno`` and ``zenomap classical`` options reuse these rules.
+CONFIG_KEYS = {
+    "experiment": _one_of(_SIMULATORS),
+    "spectrum": _one_of(_SPECTRA),
+    "m0": KeyRule(_integer),
+    "k": KeyRule(_number, lambda k: k >= 0, "kick strength must be >= 0"),
+    "tau": KeyRule(_number, lambda tau: tau > 0, "kick period must be positive"),
+    "n_kicks": _at_least(1),
+    "window_halfwidth": _at_least(8, "must be >= 8 (window of at least 16 states)"),
+    "measurement_mode": _one_of([mode.value for mode in MeasurementMode] + ["initial"]),
+    "measurement_period": _at_least(1),
+    "subset": KeyRule(_integers),
+    "seed": _at_least(0),
+    "realizations": _at_least(1),
+    "output_path": KeyRule(str),
+    "emit_svg": KeyRule(_flag),
+    "omega": KeyRule(_number),
+    "particles": _at_least(1),
+}
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse and validate a ``key = value`` run document."""
+    values: dict = {}
+    where: dict[str, int] = {}
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected 'key = value', got '{line}'", line=lineno)
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError("unknown key", key, lineno)
+        if key in values:
+            raise ConfigError(
+                f"duplicate key (first set on line {where[key]})", key, lineno
+            )
+        if not raw:
+            raise ConfigError("empty value", key, lineno)
+        try:
+            values[key] = CONFIG_KEYS[key].parse(raw)
+        except ValueError as err:
+            raise ConfigError(str(err), key, lineno) from None
+        where[key] = lineno
+    if "experiment" not in values:
+        raise ConfigError("missing required key 'experiment'")
+    config = ExperimentConfig(**values)
+    _validate_config(config, where)
+    return config
+
+
+def _validate_config(config: ExperimentConfig, where: dict[str, int]) -> None:
+    for key, rule in CONFIG_KEYS.items():
+        if not rule.accepts(getattr(config, key)):
+            raise ConfigError(rule.message, key, where.get(key))
+    try:
+        config.schedule()
+    except ValueError as err:
+        raise ConfigError(str(err), "subset", where.get("subset")) from None
+    if config.subset is not None:
+        lo = config.m0 - config.window_halfwidth
+        hi = config.m0 + config.window_halfwidth
+        bad = [m for m in config.subset if not lo <= m <= hi]
+        if bad:
+            raise ConfigError(
+                f"states {bad} outside the window [{lo}, {hi}]", "subset", where.get("subset")
+            )
+
+
+# ---------------------------------------------------------------------------
+# execution
+
+@dataclass
+class RunRecord:
+    """Everything one run produced."""
+
+    config: ExperimentConfig
+    realization_series: list[DispersionSeries]
+    aggregate: DispersionSeries
+    wall_time: float
+    version: str = __version__
 
 
 def _aggregate(series: Sequence[DispersionSeries]) -> DispersionSeries:

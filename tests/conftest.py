@@ -9,16 +9,15 @@ import pytest
 
 from zenomap import (
     BasisWindow,
-    DispersionSeries,
-    ExperimentConfig,
     QuantumState,
     SpectrumModel,
     build_kernel,
     dispersion,
-    run_experiment,
     step,
     time_averaged_profile,
 )
+from zenomap.observables import DispersionSeries
+from zenomap.runner import ExperimentConfig, run_experiment
 
 DEFAULT_K = 10.0
 DEFAULT_TAU = 1.0
@@ -66,7 +65,7 @@ def curve_a(default_window, kernel10):
         )
         if PROFILE_WINDOW[0] <= j <= PROFILE_WINDOW[1]:
             snapshots.append(state)
-    series = DispersionSeries.from_entries(rows)
+    series = DispersionSeries(*zip(*rows))
     profile = time_averaged_profile(snapshots)
     return {"series": series, "profile": profile, "window": default_window}
 

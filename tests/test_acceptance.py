@@ -23,23 +23,21 @@ from scipy.special import jv
 
 from zenomap import (
     BasisWindow,
-    ExperimentConfig,
     ProbabilityPair,
     QuantumState,
     SpectrumModel,
-    adjoint_step,
     build_kernel,
     detect_break_time,
     diffusion_slope,
     ensemble_diffusion,
     fit_localization_length,
-    monte_carlo_measured_evolve,
-    render_csv,
-    run_experiment,
     step,
     zeno_survival,
 )
 from zenomap.classical import ClassicalEnsemble
+from zenomap.kick_engine import adjoint_step
+from zenomap.runner import ExperimentConfig, render_csv, run_experiment
+from zenomap.two_level import monte_carlo_measured_evolve
 
 from conftest import fit_slope, moving_average
 

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from zenomap import (
-    ClassicalEnsemble,
+from zenomap import ClassicalEnsemble, ensemble_diffusion
+from zenomap.classical import (
     ClassicalParticle,
     K_CRITICAL,
     classical_step,
-    ensemble_diffusion,
     ensemble_series,
 )
 

@@ -162,3 +162,31 @@ class TestClassicalCommand:
         out = capsys.readouterr().out
         assert "diffusion estimate" in out
         assert "quasilinear" in out
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("classical --k nan", "--k"),
+        ("classical --k -1", "--k"),
+        ("classical --tau 0", "--tau"),
+        ("classical --tau inf", "--tau"),
+        ("classical --i0 nan", "--i0"),
+        ("classical --particles 0", "--particles"),
+        ("classical --steps 0", "--steps"),
+        ("classical --seed -1", "--seed"),
+        ("zeno --n 0", "--n"),
+        ("zeno --n 3 --trials 0", "--trials"),
+        ("zeno --n 3 --seed -1", "--seed"),
+    ],
+)
+def test_bad_option_is_config_error_before_any_run(command, option, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation started with an invalid option")
+
+    monkeypatch.setattr(cli, "ensemble_diffusion", no_run)
+    monkeypatch.setattr(cli, "monte_carlo_measured_evolve", no_run)
+    assert main(command.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"argument {option}:" in err

@@ -13,13 +13,11 @@ from zenomap import (
     QuantumState,
     SpectrumModel,
     TruncationOverflowError,
-    adjoint_step,
-    apply_free,
-    apply_kick,
     build_kernel,
     dispersion,
     step,
 )
+from zenomap.kick_engine import adjoint_step, apply_free, apply_kick
 
 
 class TestBuildKernel:

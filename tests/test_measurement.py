@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenomap import (
-    BasisWindow,
+from zenomap import BasisWindow, QuantumState, dispersion
+from zenomap.kick_engine import apply_kick
+from zenomap.measurement import (
+    _PHASE_STEP,
     MeasurementMode,
     MeasurementSchedule,
     PhaseRandomizer,
-    QuantumState,
-    apply_kick,
+    _phase_factors,
     apply_measurement,
-    dispersion,
     should_measure,
 )
-from zenomap.measurement import _PHASE_STEP, _phase_factors
 
 
 class TestSchedule:

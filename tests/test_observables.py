@@ -5,17 +5,17 @@ import pytest
 
 from zenomap import (
     BasisWindow,
-    DispersionSeries,
     NoLocalizationError,
     NormDriftError,
     QuantumState,
-    apply_kick,
     detect_break_time,
     diffusion_slope,
     dispersion,
     fit_localization_length,
     time_averaged_profile,
 )
+from zenomap.kick_engine import apply_kick
+from zenomap.observables import DispersionSeries
 
 
 class TestDispersion:
@@ -174,9 +174,9 @@ class TestBreakTime:
 
 
 class TestSeriesValidation:
-    def test_from_entries_round_trip(self):
-        series = DispersionSeries.from_entries(
-            [(0, 0.0, 1.0, 1.0), (1, 50.0, 1.0, 0.1), (2, 90.0, 1.0, 0.05)]
+    def test_column_round_trip(self):
+        series = DispersionSeries(
+            [0, 1, 2], [0.0, 50.0, 90.0], [1.0, 1.0, 1.0], [1.0, 0.1, 0.05]
         )
         assert len(series) == 3
         assert series.dispersion[1] == 50.0
@@ -204,4 +204,4 @@ class TestSeriesValidation:
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            DispersionSeries.from_entries([])
+            DispersionSeries([], [], [], [])

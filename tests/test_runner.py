@@ -1,27 +1,27 @@
 """Config parsing, experiment execution, CSV and SVG output."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 import zenomap.pool as pool
-from zenomap import (
-    ConfigError,
-    DispersionSeries,
+from zenomap import ConfigError, ProbabilityPair, TruncationOverflowError
+from zenomap.measurement import MeasurementMode
+from zenomap.observables import DispersionSeries
+from zenomap.runner import (
+    CONFIG_KEYS,
     ExperimentConfig,
-    MeasurementMode,
-    ProbabilityPair,
     RunRecord,
-    TruncationOverflowError,
     emit_chart,
-    measured_evolve_closed,
     parse_config,
     render_chart,
     render_csv,
     run_experiment,
     write_csv,
 )
+from zenomap.two_level import measured_evolve_closed
 
 
 class TestParseConfig:
@@ -46,6 +46,10 @@ class TestParseConfig:
         config = parse_config(text)
         assert config.k == 5.0
         assert config.n_kicks == 10
+
+    def test_rule_table_covers_every_config_field(self):
+        fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
+        assert list(CONFIG_KEYS) == fields
 
     def test_unknown_key_names_key_and_line(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -247,8 +251,8 @@ class TestScenarioOrdering:
 
 class TestCsv:
     def _tiny_record(self):
-        series = DispersionSeries.from_entries(
-            [(0, 0.0, 1.0, 1.0), (1, 50.0, 1.0, 0.25), (2, 101.5, 1.0, 0.125)]
+        series = DispersionSeries(
+            [0, 1, 2], [0.0, 50.0, 101.5], [1.0, 1.0, 1.0], [1.0, 0.25, 0.125]
         )
         config = ExperimentConfig(experiment="kicked")
         return RunRecord(config, [series], series, 0.0)

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenomap import (
-    InvalidStateError,
-    ProbabilityPair,
+from zenomap import InvalidStateError, ProbabilityPair, zeno_survival
+from zenomap.two_level import (
     RabiParams,
     TwoLevelState,
     coherent_evolve,
@@ -18,7 +17,6 @@ from zenomap import (
     measured_evolve_closed,
     measured_probability_step,
     monte_carlo_measured_evolve,
-    zeno_survival,
 )
 
 GROUND = TwoLevelState(1.0 + 0j, 0j)
