@@ -43,7 +43,8 @@ class NoLocalizationError(ZenomapError, RuntimeError):
 
 
 class ConfigError(ZenomapError, ValueError):
-    """A run configuration document is malformed or violates a constraint."""
+    """A run configuration is malformed or violates a constraint; ``message``
+    is the text without the key and line that ``str()`` adds."""
 
     def __init__(self, message: str, key: str | None = None, line: int | None = None):
         detail = message
@@ -54,5 +55,6 @@ class ConfigError(ZenomapError, ValueError):
         elif line is not None:
             detail = f"{message} (line {line})"
         super().__init__(detail)
+        self.message = message
         self.key = key
         self.line = line

@@ -42,8 +42,9 @@ class DispersionSeries:
             raise ValueError("kick indices must be strictly increasing")
         if np.any(self.dispersion < 0):
             raise ValueError("dispersion must be non-negative")
-        if np.any(np.abs(self.norm - 1.0) > _NORM_SLACK):
-            worst = float(np.max(np.abs(self.norm - 1.0)))
+        drift = np.abs(self.norm - 1.0)
+        if not np.all(drift <= _NORM_SLACK):  # a nan norm fails too
+            worst = float(np.max(drift))
             raise NormDriftError(f"norm drifted by {worst:.3e}, beyond {_NORM_SLACK:g}")
 
     def __len__(self) -> int:

@@ -68,7 +68,8 @@ _SPECTRA = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated description of one run."""
+    """Fully validated description of one run: every construction checks each
+    field's ``CONFIG_KEYS`` rule, the schedule and the window (``ConfigError``)."""
 
     experiment: str
     spectrum: str = "rotator"
@@ -86,6 +87,21 @@ class ExperimentConfig:
     emit_svg: bool = False
     omega: float = 1.0
     particles: int = 10000
+
+    def __post_init__(self) -> None:
+        for key, rule in CONFIG_KEYS.items():
+            if not rule.accepts(getattr(self, key)):
+                raise ConfigError(rule.message, key)
+        try:
+            self.schedule()
+        except ValueError as err:
+            raise ConfigError(str(err), "subset") from None
+        window = self.window()
+        bad = [m for m in self.subset or () if not window.m_min <= m <= window.m_max]
+        if bad:
+            raise ConfigError(
+                f"states {bad} outside the window [{window.m_min}, {window.m_max}]", "subset"
+            )
 
     def window(self) -> BasisWindow:
         return BasisWindow.centered(self.m0, self.window_halfwidth)
@@ -241,8 +257,8 @@ CONFIG_KEYS = {
     "experiment": _one_of(_SIMULATORS),
     "spectrum": _one_of(_SPECTRA),
     "m0": KeyRule(_integer),
-    "k": KeyRule(_number, lambda k: k >= 0, "kick strength must be >= 0"),
-    "tau": KeyRule(_number, lambda tau: tau > 0, "kick period must be positive"),
+    "k": KeyRule(_number, lambda k: 0 <= k < math.inf, "kick strength must be >= 0"),
+    "tau": KeyRule(_number, lambda tau: 0 < tau < math.inf, "kick period must be positive"),
     "n_kicks": _at_least(1),
     "window_halfwidth": _at_least(8, "must be >= 8 (window of at least 16 states)"),
     "measurement_mode": _one_of([mode.value for mode in MeasurementMode] + ["initial"]),
@@ -252,7 +268,7 @@ CONFIG_KEYS = {
     "realizations": _at_least(1),
     "output_path": KeyRule(str),
     "emit_svg": KeyRule(_flag),
-    "omega": KeyRule(_number),
+    "omega": KeyRule(_number, math.isfinite, "must be a finite number"),
     "particles": _at_least(1),
 }
 
@@ -285,27 +301,10 @@ def parse_config(text: str) -> ExperimentConfig:
         where[key] = lineno
     if "experiment" not in values:
         raise ConfigError("missing required key 'experiment'")
-    config = ExperimentConfig(**values)
-    _validate_config(config, where)
-    return config
-
-
-def _validate_config(config: ExperimentConfig, where: dict[str, int]) -> None:
-    for key, rule in CONFIG_KEYS.items():
-        if not rule.accepts(getattr(config, key)):
-            raise ConfigError(rule.message, key, where.get(key))
     try:
-        config.schedule()
-    except ValueError as err:
-        raise ConfigError(str(err), "subset", where.get("subset")) from None
-    if config.subset is not None:
-        lo = config.m0 - config.window_halfwidth
-        hi = config.m0 + config.window_halfwidth
-        bad = [m for m in config.subset if not lo <= m <= hi]
-        if bad:
-            raise ConfigError(
-                f"states {bad} outside the window [{lo}, {hi}]", "subset", where.get("subset")
-            )
+        return ExperimentConfig(**values)
+    except ConfigError as err:
+        raise ConfigError(err.message, err.key, where.get(err.key)) from None
 
 
 # ---------------------------------------------------------------------------

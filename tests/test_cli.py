@@ -94,6 +94,15 @@ class TestRunCommand:
         monkeypatch.setattr(measurement, "_phase_factors", leaky_factors)
         assert main(["run", str(config_file), "--preset", "d"]) == 3
 
+    def test_overflowing_phase_is_numerical_error(self, tmp_path, capsys):
+        # 0.5 m^2 tau overflows, so every amplitude after the first kick is nan
+        path = tmp_path / "huge_tau.cfg"
+        path.write_text(
+            "experiment = kicked\ntau = 1e308\nn_kicks = 3\nwindow_halfwidth = 50\n"
+        )
+        assert main(["run", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
     def test_negative_seed_override_is_config_error(
         self, config_file, monkeypatch, capsys
     ):

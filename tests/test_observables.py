@@ -195,10 +195,11 @@ class TestSeriesValidation:
                 np.array([0, 1]), np.zeros(2), np.array([1.0, 1.1]), np.ones(2)
             )
 
-    def test_norm_drift_is_a_numerical_failure(self):
+    @pytest.mark.parametrize("norm", [1.0 + 2e-6, np.nan], ids=["beyond_slack", "nan"])
+    def test_norm_drift_is_a_numerical_failure(self, norm):
         with pytest.raises(NormDriftError) as excinfo:
             DispersionSeries(
-                np.array([0, 1]), np.zeros(2), np.array([1.0, 1.0 + 2e-6]), np.ones(2)
+                np.array([0, 1]), np.zeros(2), np.array([1.0, norm]), np.ones(2)
             )
         assert isinstance(excinfo.value, ValueError)
 

@@ -118,6 +118,35 @@ class TestParseConfig:
             parse_config("experiment = quantum\n")
 
 
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"experiment": "classical", "k": float("nan")}, "k"),
+        ({"tau": float("inf")}, "tau"),
+        ({"experiment": "zeno", "omega": float("nan")}, "omega"),
+        ({"n_kicks": 0}, "n_kicks"),
+        ({"realizations": 0}, "realizations"),
+        ({"seed": -1}, "seed"),
+        ({"experiment": "bogus"}, "experiment"),
+        ({"spectrum": "bogus"}, "spectrum"),
+        ({"measurement_mode": "bogus"}, "measurement_mode"),
+        ({"measurement_mode": "subset", "subset": (9000,)}, "subset"),
+    ],
+)
+def test_bad_config_is_rejected_when_built(fields, key):
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig(**{"experiment": "kicked", **fields})
+    assert excinfo.value.key == key
+
+
+def test_replace_checks_the_new_config():
+    config = parse_config("experiment = kicked\nseed = 4\n")
+    with pytest.raises(ConfigError) as excinfo:
+        dataclasses.replace(config, seed=-1)
+    assert excinfo.value.key == "seed"
+    assert excinfo.value.line is None
+
+
 class TestPresets:
     def test_preset_schedules(self):
         base = parse_config("experiment = kicked\n")
