@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     InvalidStateError,
     NoLocalizationError,
+    NonFiniteError,
     NormDriftError,
     TruncationOverflowError,
     ZenomapError,
@@ -37,7 +38,7 @@ __all__ = [
     "__version__",
     # errors
     "ZenomapError", "InvalidStateError", "TruncationOverflowError",
-    "NoLocalizationError", "NormDriftError", "ConfigError",
+    "NoLocalizationError", "NormDriftError", "NonFiniteError", "ConfigError",
     # kicked ladder
     "BasisWindow", "QuantumState", "SpectrumModel", "build_kernel", "step",
     "dispersion", "time_averaged_profile", "fit_localization_length",

@@ -33,6 +33,14 @@ class NormDriftError(ZenomapError, ValueError):
     """
 
 
+class NonFiniteError(ZenomapError, ValueError):
+    """A per-kick series column holds nan or inf, for example after an overflow.
+
+    A numerical failure like :class:`NormDriftError`, raised while a series
+    is validated; the message names the column.
+    """
+
+
 class NoLocalizationError(ZenomapError, RuntimeError):
     """An occupation profile has no decaying exponential envelope.
 

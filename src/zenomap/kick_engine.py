@@ -12,6 +12,16 @@ The kernel is truncated where its coefficients fall below a threshold
 basis window is policed every kick: once probability comes within the
 kernel bandwidth of a window edge the run aborts rather than silently
 leaking norm.
+
+A localized state leaves most of the window at amplitudes far below
+roundoff, so every state carries a ``support``: the half-open range of
+array positions outside which each amplitude is exactly zero. Every
+operation works on that slice only. A kick widens the support by the kernel
+bandwidth ``d_max`` on each side (clipped to the window), then drops each
+end band of ``d_max`` bins whose probability is below ``_SLICE_EPS``
+(1e-30), zeroing it; a kick thus discards at most ``2 * _SLICE_EPS`` of
+norm. On a support that spans the whole window the kick is the plain
+``"same"``-mode convolution, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +39,9 @@ from .errors import TruncationOverflowError
 _BOUNDARY_LIMIT = 1e-10
 _MIN_WINDOW = 16
 _MAX_KERNEL_EPS = 1e-10
+# A kick zeroes an end band of its support that carries less probability
+# than this and shrinks the support past it.
+_SLICE_EPS = 1e-30
 
 
 @dataclass(frozen=True)
@@ -88,22 +101,36 @@ class QuantumState:
     ``time_index`` counts completed kicks; the amplitudes always describe
     the state immediately before the next kick. Operations return new
     states and never mutate their input.
+
+    ``support = (lo, hi)`` is a nonempty half-open range of array positions
+    outside which every amplitude is exactly zero; operations read and write
+    only that slice. It defaults to the whole window, and the constructor
+    trusts it without scanning the amplitudes. A kick's support is
+    ``_SLICE_EPS``-trimmed (see the module docstring).
     """
 
     window: BasisWindow
     amplitudes: np.ndarray
     time_index: int = 0
+    support: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (self.window.size,):
+        size = self.window.size
+        if self.amplitudes.shape != (size,):
             raise ValueError(
                 f"amplitude vector length {self.amplitudes.shape} does not "
-                f"match window size {self.window.size}"
+                f"match window size {size}"
             )
+        if self.support is None:
+            self.support = (0, size)
+        lo, hi = self.support
+        if not 0 <= lo < hi <= size:
+            raise ValueError(f"support {self.support} is not a nonempty range within [0, {size}]")
 
     def norm_sq(self) -> float:
-        a = self.amplitudes
+        lo, hi = self.support
+        a = self.amplitudes[lo:hi]
         return float(np.vdot(a, a).real)
 
     def occupations(self) -> np.ndarray:
@@ -117,14 +144,32 @@ class QuantumState:
         return float(np.vdot(lo, lo).real), float(np.vdot(hi, hi).real)
 
     def copy(self) -> "QuantumState":
-        return QuantumState(self.window, self.amplitudes.copy(), self.time_index)
+        return QuantumState(self.window, self.amplitudes.copy(), self.time_index, self.support)
 
     @classmethod
     def delta(cls, window: BasisWindow) -> "QuantumState":
         """Unit amplitude on the initial state ``m0``, before any kick."""
         a = np.zeros(window.size, dtype=np.complex128)
-        a[window.offset(window.m0)] = 1.0
-        return cls(window, a, 0)
+        home = window.offset(window.m0)
+        a[home] = 1.0
+        return cls(window, a, 0, (home, home + 1))
+
+
+def _zero_outside(size: int, support: tuple[int, int]) -> np.ndarray:
+    """A new complex vector that is zero outside ``support`` and unset inside."""
+    lo, hi = support
+    out = np.empty(size, dtype=np.complex128)
+    out[:lo] = 0.0
+    out[hi:] = 0.0
+    return out
+
+
+def _times(state: QuantumState, factors: np.ndarray) -> np.ndarray:
+    """The amplitudes times the window-length ``factors``, on the support only."""
+    lo, hi = state.support
+    out = _zero_outside(state.amplitudes.size, state.support)
+    np.multiply(state.amplitudes[lo:hi], factors[lo:hi], out=out[lo:hi])
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,14 +218,18 @@ def _check_kick(state: QuantumState, kernel: KickKernel) -> None:
 
     Only amplitude within ``d_max`` bins of an edge can leave the window in
     one kick, and the kick is unitary, so the probability there before the
-    kick bounds the norm the kick can lose.
+    kick bounds the norm the kick can lose. A support at least ``d_max``
+    from both edges leaves those bands exactly zero.
     """
-    if kernel.coefficients.size > state.window.size:
+    size, d_max = state.window.size, kernel.d_max
+    if kernel.coefficients.size > size:
         raise ValueError(
-            f"kernel bandwidth {kernel.coefficients.size} exceeds window size "
-            f"{state.window.size}"
+            f"kernel bandwidth {kernel.coefficients.size} exceeds window size {size}"
         )
-    lo, hi = state.boundary_occupation(kernel.d_max)
+    first, end = state.support
+    if first >= d_max and end <= size - d_max:
+        return
+    lo, hi = state.boundary_occupation(d_max)
     if lo + hi >= _BOUNDARY_LIMIT:
         if lo >= _BOUNDARY_LIMIT and hi >= _BOUNDARY_LIMIT:
             edge = "both"
@@ -204,8 +253,41 @@ def apply_kick(state: QuantumState, kernel: KickKernel) -> QuantumState:
     non-negligible, since the kick could carry that much out of the window.
     """
     _check_kick(state, kernel)
-    out = np.convolve(state.amplitudes, kernel.coefficients, mode="same")
-    return QuantumState(state.window, out, state.time_index)
+    out, support = _convolve(state.amplitudes, state.support, kernel.coefficients)
+    return QuantumState(state.window, out, state.time_index, support)
+
+
+def _convolve(
+    amplitudes: np.ndarray, support: tuple[int, int], coefficients: np.ndarray
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """Kick the amplitudes on ``support``; returns them with their new support.
+
+    The full convolution of the support slice covers ``d_max`` more bins on
+    each side; on the whole window its middle is ``np.convolve(...,
+    mode="same")`` bit for bit. A slice clipped at a window edge may be
+    shorter than the kernel, where ``"same"`` mode would return the kernel's
+    length, so the full mode is taken and clipped here. End bands of
+    ``d_max`` bins below ``_SLICE_EPS`` are then zeroed and dropped.
+    """
+    d_max = coefficients.size // 2
+    lo, hi = support
+    size = amplitudes.size
+    start, stop = max(lo - d_max, 0), min(hi + d_max, size)
+    out = _zero_outside(size, (start, stop))
+    full = np.convolve(amplitudes[lo:hi], coefficients)
+    shift = lo - d_max
+    out[start:stop] = full[start - shift:stop - shift]
+    if stop - start > d_max:
+        band = out[start:start + d_max]
+        if np.vdot(band, band).real < _SLICE_EPS:
+            band[:] = 0.0
+            start += d_max
+    if stop - start > d_max:
+        band = out[stop - d_max:stop]
+        if np.vdot(band, band).real < _SLICE_EPS:
+            band[:] = 0.0
+            stop -= d_max
+    return out, (start, stop)
 
 
 @dataclass
@@ -260,7 +342,7 @@ def apply_free(state: QuantumState, spectrum: SpectrumModel) -> QuantumState:
     if spectrum.window != state.window:
         raise ValueError("spectrum phase table does not cover the state's window")
     return QuantumState(
-        state.window, state.amplitudes * spectrum.multiplier, state.time_index
+        state.window, _times(state, spectrum.multiplier), state.time_index, state.support
     )
 
 
@@ -286,6 +368,6 @@ def adjoint_step(
     if spectrum.window != state.window:
         raise ValueError("spectrum phase table does not cover the state's window")
     _check_kick(state, kernel)
-    undone = state.amplitudes * np.conj(spectrum.multiplier)
-    out = np.convolve(undone, kernel.coefficients[::-1], mode="same")
-    return QuantumState(state.window, out, state.time_index - 1)
+    undone = _times(state, np.conj(spectrum.multiplier))
+    out, support = _convolve(undone, state.support, kernel.coefficients[::-1])
+    return QuantumState(state.window, out, state.time_index - 1, support)

@@ -18,7 +18,9 @@ times ``exp(i*r)`` from its Taylor series through ``r^5``, whose truncation
 error is below 1e-19. The result agrees with ``np.exp(1j*beta)`` to a few
 units in the last place, and the draws are the same as with the exponential.
 A subset readout touches a handful of amplitudes, where the exponential is
-cheaper than the split, so it keeps ``np.exp``.
+cheaper than the split, so it keeps ``np.exp``. An all-states readout still
+draws one phase per window state, but builds factors only for the state's
+``support``, outside which every amplitude is zero.
 """
 
 from __future__ import annotations
@@ -155,11 +157,15 @@ def apply_measurement(
     if schedule.mode is MeasurementMode.NONE:
         return state
     if schedule.mode is MeasurementMode.ALL:
-        out = _phase_factors(rng.phases(state.window.size))
-        out *= state.amplitudes
-        return QuantumState(state.window, out, state.time_index)
+        # Every state takes its draw, so the stream does not depend on the
+        # support, but only the draws of the support become factors.
+        lo, hi = state.support
+        factors = _phase_factors(rng.phases(state.window.size)[lo:hi])
+        out = np.zeros_like(state.amplitudes)
+        np.multiply(factors, state.amplitudes[lo:hi], out=out[lo:hi])
+        return QuantumState(state.window, out, state.time_index, state.support)
     positions = [state.window.offset(m) for m in schedule.subset]  # raises if outside
     betas = rng.phases(len(positions))
     out = state.amplitudes.copy()
     out[positions] *= np.exp(1j * betas)
-    return QuantumState(state.window, out, state.time_index)
+    return QuantumState(state.window, out, state.time_index, state.support)

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import NoLocalizationError, NormDriftError
+from .errors import NoLocalizationError, NonFiniteError, NormDriftError
 from .kick_engine import QuantumState
 
 _NORM_SLACK = 1e-6
@@ -40,12 +40,20 @@ class DispersionSeries:
             raise ValueError("series is empty")
         if np.any(np.diff(self.j) <= 0):
             raise ValueError("kick indices must be strictly increasing")
-        if np.any(self.dispersion < 0):
-            raise ValueError("dispersion must be non-negative")
         drift = np.abs(self.norm - 1.0)
         if not np.all(drift <= _NORM_SLACK):  # a nan norm fails too
             worst = float(np.max(drift))
             raise NormDriftError(f"norm drifted by {worst:.3e}, beyond {_NORM_SLACK:g}")
+        for name in ("dispersion", "p_m0"):
+            column = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(column))
+            if bad.size:
+                first = bad[0]
+                raise NonFiniteError(
+                    f"{name} is {column[first]} at kick j = {self.j[first]}"
+                )
+        if np.any(self.dispersion < 0):
+            raise ValueError("dispersion must be non-negative")
 
     def __len__(self) -> int:
         return int(self.j.size)
@@ -78,8 +86,10 @@ class BreakTimeEstimate:
 
 
 def dispersion(state: QuantumState) -> float:
-    """``sum (m - m0)^2 |a_m|^2`` over the state's window."""
-    return float(np.dot(state.window.dispersion_weights, state.occupations()))
+    """``sum (m - m0)^2 |a_m|^2`` over the state's window (its support)."""
+    lo, hi = state.support
+    a = state.amplitudes[lo:hi]
+    return float(np.dot(state.window.dispersion_weights[lo:hi], a.real**2 + a.imag**2))
 
 
 def time_averaged_profile(states: Iterable[QuantumState]) -> np.ndarray:

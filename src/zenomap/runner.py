@@ -177,9 +177,11 @@ def _simulate_zeno(config: ExperimentConfig, realization: int) -> DispersionSeri
     # the ladder m in {m0, m0 + 1}, the momentum dispersion reduces to the
     # transfer probability p2, and p_m0 is the survival probability p1.
     # np.float_power, unlike ** on ints, matches measured_evolve_closed exactly.
+    # An overflowing phase gives nan rows, which the series rejects.
     phi = 0.5 * config.omega * config.tau
     j = np.arange(config.n_kicks + 1)
-    contrast = np.float_power(math.cos(2.0 * phi), j)
+    angle = 2.0 * phi
+    contrast = np.float_power(math.cos(angle) if math.isfinite(angle) else math.nan, j)
     return DispersionSeries(j, 0.5 * (1.0 - contrast), np.ones(j.size), 0.5 * (1.0 + contrast))
 
 

@@ -103,6 +103,23 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 3
         assert capsys.readouterr().err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize(
+        "document, column",
+        [
+            ("experiment = classical\ntau = 1e308\nparticles = 200\nn_kicks = 20\n",
+             "dispersion"),
+            ("experiment = zeno\ntau = 1e308\nomega = 1e308\nn_kicks = 5\n", "dispersion"),
+        ],
+        ids=["classical", "zeno"],
+    )
+    def test_non_finite_series_is_numerical_error(self, document, column, tmp_path, capsys):
+        path = tmp_path / "overflow.cfg"
+        path.write_text(document)
+        assert main(["run", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"numerical failure: {column} is nan")
+        assert captured.out == ""
+
     def test_negative_seed_override_is_config_error(
         self, config_file, monkeypatch, capsys
     ):
@@ -171,6 +188,13 @@ class TestClassicalCommand:
         out = capsys.readouterr().out
         assert "diffusion estimate" in out
         assert "quasilinear" in out
+
+    def test_overflowing_angles_are_numerical_error(self, capsys):
+        code = main(["classical", "--tau", "1e308", "--particles", "200", "--steps", "20"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: dispersion is nan")
+        assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Kick kernel construction and the banded unitary map."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -17,7 +18,15 @@ from zenomap import (
     dispersion,
     step,
 )
-from zenomap.kick_engine import adjoint_step, apply_free, apply_kick
+from zenomap.kick_engine import (
+    _SLICE_EPS,
+    KickKernel,
+    adjoint_step,
+    apply_free,
+    apply_kick,
+)
+from zenomap.measurement import MeasurementSchedule, PhaseRandomizer, apply_measurement
+from zenomap.runner import ExperimentConfig, run_experiment
 
 
 class TestBuildKernel:
@@ -320,3 +329,108 @@ class TestTypes:
         spectrum = SpectrumModel.rotator(window, tau=1.0)
         assert np.all(spectrum.phase_table >= 0.0)
         assert np.all(spectrum.phase_table < 2 * math.pi)
+
+
+def _reference_series(config: ExperimentConfig) -> np.ndarray:
+    """Rows ``(dispersion, norm, p_m0)`` of realization 0 of ``config``,
+    from plain full-window operations: no support, no phase table."""
+    window = config.window()
+    kernel = build_kernel(config.k)
+    multiplier = config.spectrum_model(window).multiplier
+    seq = np.random.SeedSequence(config.seed, spawn_key=(0, 0))
+    draws = np.random.Generator(np.random.PCG64(seq))
+    home = window.offset(config.m0)
+    weights = (window.indices() - config.m0).astype(float) ** 2
+    a = np.zeros(window.size, complex)
+    a[home] = 1.0
+    rows = []
+    for j in range(config.n_kicks + 1):
+        if j:
+            a = np.convolve(a, kernel.coefficients, mode="same") * multiplier
+            if config.measurement_mode != "none" and j % config.measurement_period == 0:
+                if config.measurement_mode == "initial":
+                    a[home] *= np.exp(1j * draws.uniform(0.0, 2.0 * np.pi, 1)[0])
+                else:
+                    a = a * np.exp(1j * draws.uniform(0.0, 2.0 * np.pi, window.size))
+        p = np.abs(a) ** 2
+        rows.append((weights @ p, p.sum(), p[home]))
+    return np.array(rows)
+
+
+def _outside(state: QuantumState) -> np.ndarray:
+    lo, hi = state.support
+    return np.concatenate([state.amplitudes[:lo], state.amplitudes[hi:]])
+
+
+class TestSupport:
+    @pytest.mark.parametrize("preset", "abcd")
+    def test_presets_match_a_full_window_reference(self, preset):
+        # All states read out every kick diffuse to the edge of this window
+        # after about 150 kicks, so preset d runs 100.
+        config = ExperimentConfig(
+            "kicked", k=5.0, window_halfwidth=300, n_kicks=100 if preset == "d" else 200,
+            seed=12,
+        ).with_preset(preset)
+        if preset == "c":
+            config = dataclasses.replace(config, measurement_period=20)
+        series = run_experiment(config).aggregate
+        reference = _reference_series(config)
+        assert np.allclose(series.dispersion, reference[:, 0], rtol=1e-13, atol=0)
+        assert np.allclose(series.norm, reference[:, 1], rtol=1e-13, atol=0)
+        assert np.max(np.abs(series.p_m0 - reference[:, 2])) <= 1e-15
+
+    def test_every_operation_keeps_zeros_outside_the_support(self, kernel10):
+        window = BasisWindow.centered(0, 400)
+        spectrum = SpectrumModel.rotator(window, tau=1.0)
+        state = QuantumState.delta(window)
+        assert state.support == (400, 401)
+        schedules = [
+            MeasurementSchedule.none(),
+            MeasurementSchedule.subset_of((0, 3)),
+            MeasurementSchedule.all_states(),
+        ]
+        rng = PhaseRandomizer(5)
+        for kick in range(30):
+            kicked = apply_kick(state, kernel10)
+            flown = apply_free(kicked, spectrum)
+            for out in (kicked, flown):
+                assert np.all(_outside(out) == 0.0)
+            for schedule in schedules:
+                read = apply_measurement(flown, schedule, rng)
+                assert read.support == flown.support
+                assert np.all(_outside(read) == 0.0)
+            state = apply_measurement(flown, schedules[kick % 3], rng)
+        lo, hi = state.support
+        assert 0 < lo and hi < window.size  # the slice stayed narrower than the window
+
+    @pytest.mark.parametrize("factor, kept", [(1.01, True), (0.99, False)])
+    def test_end_band_trimmed_below_slice_eps(self, factor, kept):
+        # This kernel moves every amplitude down one bin, so the lowest
+        # amplitude lands in the new lower end band (d_max = 1) by itself.
+        shift = KickKernel(1.0, np.array([1.0, 0.0, 0.0]), 1, 1e-14)
+        window = BasisWindow.centered(0, 20)
+        amps = np.zeros(window.size, complex)
+        amps[10] = math.sqrt(factor * _SLICE_EPS)
+        amps[11:15] = 0.5
+        out = apply_kick(QuantumState(window, amps, support=(10, 15)), shift)
+        assert out.support == ((9 if kept else 10), 15)
+        assert out.amplitudes[9] == (amps[10] if kept else 0.0)
+        assert np.all(_outside(out) == 0.0)
+
+    def test_support_at_the_window_edge_still_raises(self):
+        kernel = build_kernel(5.0)
+        window = BasisWindow.centered(0, 60)
+        spectrum = SpectrumModel.rotator(window, tau=1.0)
+        schedule, rng = MeasurementSchedule.all_states(), PhaseRandomizer(4)
+        state = QuantumState.delta(window)
+        with pytest.raises(TruncationOverflowError):
+            for _ in range(1000):
+                state = apply_measurement(step(state, kernel, spectrum), schedule, rng)
+        lo, hi = state.support
+        assert lo < kernel.d_max or hi > window.size - kernel.d_max
+
+    def test_support_must_be_a_nonempty_range_in_the_window(self):
+        window = BasisWindow.centered(0, 10)
+        for support in [(3, 3), (-1, 4), (0, 22)]:
+            with pytest.raises(ValueError):
+                QuantumState(window, np.zeros(window.size, complex), support=support)

@@ -6,6 +6,7 @@ import pytest
 from zenomap import (
     BasisWindow,
     NoLocalizationError,
+    NonFiniteError,
     NormDriftError,
     QuantumState,
     detect_break_time,
@@ -201,6 +202,16 @@ class TestSeriesValidation:
             DispersionSeries(
                 np.array([0, 1]), np.zeros(2), np.array([1.0, norm]), np.ones(2)
             )
+        assert isinstance(excinfo.value, ValueError)
+
+    @pytest.mark.parametrize("column", ["dispersion", "p_m0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_column_is_a_numerical_failure(self, column, value):
+        columns = {"dispersion": np.zeros(3), "p_m0": np.ones(3)}
+        columns[column][2] = value
+        with pytest.raises(NonFiniteError) as excinfo:
+            DispersionSeries(np.arange(3), columns["dispersion"], np.ones(3), columns["p_m0"])
+        assert str(excinfo.value) == f"{column} is {value} at kick j = 2"
         assert isinstance(excinfo.value, ValueError)
 
     def test_empty_series_rejected(self):
