@@ -3,8 +3,10 @@
 Reading out the population of a basis state leaves its occupation unchanged
 but erases all interference between that state and the rest: the amplitude
 keeps its modulus and acquires a fresh uniform random phase, uncorrelated
-with anything drawn before. A schedule selects which states are measured
-(none, a fixed subset, or all of them) and after which kicks.
+with anything drawn before. After every ``period``-th kick a schedule reads
+out the states selected by its mode, one of ``MODES``: ``"none"`` (no state,
+no draw), ``"subset"`` (a fixed nonempty list ``subset``), ``"all"`` (every
+state of the window) or ``"initial"`` (the window's initial state ``m0``).
 
 Phase draws are owned by an exclusive, seeded stream so that runs are
 bit-reproducible: a measurement event consumes exactly one draw per measured
@@ -17,17 +19,16 @@ the tabulated ``exp(i*h*s)`` (4097 entries, 64 KiB, built once at import)
 times ``exp(i*r)`` from its Taylor series through ``r^5``, whose truncation
 error is below 1e-19. The result agrees with ``np.exp(1j*beta)`` to a few
 units in the last place, and the draws are the same as with the exponential.
-A subset readout touches a handful of amplitudes, where the exponential is
-cheaper than the split, so it keeps ``np.exp``. An all-states readout still
-draws one phase per window state, but builds factors only for the state's
-``support``, outside which every amplitude is zero.
+A subset or initial-state readout touches a handful of amplitudes, where the
+exponential is cheaper than the split, so it keeps ``np.exp``. An all-states
+readout still draws one phase per window state, but builds factors only for
+the state's ``support``, outside which every amplitude is zero.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,25 +40,23 @@ _PHASE_STEP = 2.0 * np.pi / 4096
 _PHASE_TABLE = np.exp(1j * (np.arange(4097) * _PHASE_STEP))
 _PHASE_TABLE.flags.writeable = False
 
-
-class MeasurementMode(enum.Enum):
-    NONE = "none"
-    SUBSET = "subset"
-    ALL = "all"
+MODES = ("none", "subset", "all", "initial")
 
 
 @dataclass(frozen=True)
 class MeasurementSchedule:
-    """Which states are read out, every how many kicks."""
+    """Which states are read out (``mode``, one of ``MODES``), every how many kicks."""
 
-    mode: MeasurementMode
+    mode: str
     period: int = 1
     subset: Optional[tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.mode is MeasurementMode.SUBSET:
+        if self.mode == "subset":
             if not self.subset:
                 raise ValueError("subset mode requires a nonempty list of states")
             ordered = tuple(sorted(self.subset))
@@ -65,19 +64,7 @@ class MeasurementSchedule:
                 raise ValueError(f"subset contains duplicate states: {self.subset}")
             object.__setattr__(self, "subset", ordered)
         elif self.subset is not None:
-            raise ValueError(f"subset given but mode is {self.mode.value}")
-
-    @classmethod
-    def none(cls) -> "MeasurementSchedule":
-        return cls(MeasurementMode.NONE)
-
-    @classmethod
-    def all_states(cls, period: int = 1) -> "MeasurementSchedule":
-        return cls(MeasurementMode.ALL, period)
-
-    @classmethod
-    def subset_of(cls, states: Sequence[int], period: int = 1) -> "MeasurementSchedule":
-        return cls(MeasurementMode.SUBSET, period, tuple(states))
+            raise ValueError(f"subset given but mode is {self.mode}")
 
 
 @dataclass
@@ -141,7 +128,7 @@ def should_measure(schedule: MeasurementSchedule, j: int) -> bool:
     """True when a measurement fires after kick ``j``."""
     if j < 1:
         raise ValueError(f"kick index must be >= 1, got {j}")
-    return schedule.mode is not MeasurementMode.NONE and j % schedule.period == 0
+    return schedule.mode != "none" and j % schedule.period == 0
 
 
 def apply_measurement(
@@ -151,12 +138,12 @@ def apply_measurement(
 
     Occupations are untouched exactly (the amplitudes are multiplied by unit
     phase factors) and unmeasured amplitudes are left bit-identical, so any
-    interference among unmeasured states survives. ``NONE`` schedules return
-    the input state unchanged without consuming a draw.
+    interference among unmeasured states survives. ``"none"`` schedules
+    return the input state unchanged without consuming a draw.
     """
-    if schedule.mode is MeasurementMode.NONE:
+    if schedule.mode == "none":
         return state
-    if schedule.mode is MeasurementMode.ALL:
+    if schedule.mode == "all":
         # Every state takes its draw, so the stream does not depend on the
         # support, but only the draws of the support become factors.
         lo, hi = state.support
@@ -164,7 +151,8 @@ def apply_measurement(
         out = np.zeros_like(state.amplitudes)
         np.multiply(factors, state.amplitudes[lo:hi], out=out[lo:hi])
         return QuantumState(state.window, out, state.time_index, state.support)
-    positions = [state.window.offset(m) for m in schedule.subset]  # raises if outside
+    states = (state.window.m0,) if schedule.mode == "initial" else schedule.subset
+    positions = [state.window.offset(m) for m in states]  # raises if outside
     betas = rng.phases(len(positions))
     out = state.amplitudes.copy()
     out[positions] *= np.exp(1j * betas)

@@ -41,7 +41,7 @@ from .kick_engine import (
     step,
 )
 from .measurement import (
-    MeasurementMode,
+    MODES,
     MeasurementSchedule,
     PhaseRandomizer,
     apply_measurement,
@@ -69,7 +69,8 @@ _SPECTRA = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully validated description of one run: every construction checks each
-    field's ``CONFIG_KEYS`` rule, the schedule and the window (``ConfigError``)."""
+    field's ``CONFIG_KEYS`` rule, the schedule, the window and, for a kicked
+    run, that the window holds the kick kernel (``ConfigError``)."""
 
     experiment: str
     spectrum: str = "rotator"
@@ -102,19 +103,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"states {bad} outside the window [{window.m_min}, {window.m_max}]", "subset"
             )
+        if self.experiment == "kicked":
+            d_max = build_kernel(self.k).d_max
+            if d_max > self.window_halfwidth:
+                raise ConfigError(
+                    f"must be >= {d_max} for k = {self.k:g} "
+                    f"(kick kernel of {2 * d_max + 1} states)", "window_halfwidth",
+                )
 
     def window(self) -> BasisWindow:
         return BasisWindow.centered(self.m0, self.window_halfwidth)
 
     def schedule(self) -> MeasurementSchedule:
-        """The schedule of this config; ``"initial"`` reads out ``m0`` alone."""
-        if self.measurement_mode == "initial":
-            if self.subset is not None:
-                raise ValueError("subset given but mode is initial")
-            return MeasurementSchedule.subset_of((self.m0,), self.measurement_period)
-        return MeasurementSchedule(
-            MeasurementMode(self.measurement_mode), self.measurement_period, self.subset
-        )
+        return MeasurementSchedule(self.measurement_mode, self.measurement_period, self.subset)
 
     def spectrum_model(self, window: BasisWindow) -> SpectrumModel:
         return _SPECTRA[self.spectrum](self, window)
@@ -263,7 +264,7 @@ CONFIG_KEYS = {
     "tau": KeyRule(_number, lambda tau: 0 < tau < math.inf, "kick period must be positive"),
     "n_kicks": _at_least(1),
     "window_halfwidth": _at_least(8, "must be >= 8 (window of at least 16 states)"),
-    "measurement_mode": _one_of([mode.value for mode in MeasurementMode] + ["initial"]),
+    "measurement_mode": _one_of(MODES),
     "measurement_period": _at_least(1),
     "subset": KeyRule(_integers),
     "seed": _at_least(0),

@@ -66,6 +66,18 @@ class TestRunCommand:
         path.write_text("experiment = kicked\nk = -3\n")
         assert main(["run", str(path)]) == 2
 
+    def test_window_narrower_than_kernel_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("the simulation started with a window narrower than the kernel")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        path = tmp_path / "narrow.cfg"
+        path.write_text("experiment = kicked\nwindow_halfwidth = 8\n")
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "key 'window_halfwidth'" in err
+
     def test_truncation_is_numerical_error(self, tmp_path):
         path = tmp_path / "narrow.cfg"
         path.write_text(

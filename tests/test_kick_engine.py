@@ -385,9 +385,9 @@ class TestSupport:
         state = QuantumState.delta(window)
         assert state.support == (400, 401)
         schedules = [
-            MeasurementSchedule.none(),
-            MeasurementSchedule.subset_of((0, 3)),
-            MeasurementSchedule.all_states(),
+            MeasurementSchedule("none"),
+            MeasurementSchedule("subset", 1, (0, 3)),
+            MeasurementSchedule("all"),
         ]
         rng = PhaseRandomizer(5)
         for kick in range(30):
@@ -421,7 +421,7 @@ class TestSupport:
         kernel = build_kernel(5.0)
         window = BasisWindow.centered(0, 60)
         spectrum = SpectrumModel.rotator(window, tau=1.0)
-        schedule, rng = MeasurementSchedule.all_states(), PhaseRandomizer(4)
+        schedule, rng = MeasurementSchedule("all"), PhaseRandomizer(4)
         state = QuantumState.delta(window)
         with pytest.raises(TruncationOverflowError):
             for _ in range(1000):

@@ -9,7 +9,6 @@ from zenomap import BasisWindow, QuantumState, dispersion
 from zenomap.kick_engine import apply_kick
 from zenomap.measurement import (
     _PHASE_STEP,
-    MeasurementMode,
     MeasurementSchedule,
     PhaseRandomizer,
     _phase_factors,
@@ -20,38 +19,42 @@ from zenomap.measurement import (
 
 class TestSchedule:
     def test_fires_on_period_multiples(self):
-        schedule = MeasurementSchedule.all_states(period=200)
+        schedule = MeasurementSchedule("all", period=200)
         assert should_measure(schedule, 200)
         assert not should_measure(schedule, 201)
         assert should_measure(schedule, 400)
 
     def test_none_never_fires(self):
-        schedule = MeasurementSchedule.none()
+        schedule = MeasurementSchedule("none")
         assert not any(should_measure(schedule, j) for j in range(1, 500))
 
     def test_kick_index_starts_at_one(self):
         with pytest.raises(ValueError):
-            should_measure(MeasurementSchedule.all_states(), 0)
+            should_measure(MeasurementSchedule("all"), 0)
 
     def test_period_must_be_positive(self):
         with pytest.raises(ValueError):
-            MeasurementSchedule.all_states(period=0)
+            MeasurementSchedule("all", period=0)
 
     def test_subset_must_be_nonempty(self):
         with pytest.raises(ValueError):
-            MeasurementSchedule.subset_of(())
+            MeasurementSchedule("subset", 1, ())
 
     def test_subset_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            MeasurementSchedule.subset_of((3, 3))
+            MeasurementSchedule("subset", 1, (3, 3))
 
     def test_subset_only_with_subset_mode(self):
         with pytest.raises(ValueError):
-            MeasurementSchedule(MeasurementMode.ALL, 1, (5,))
+            MeasurementSchedule("all", 1, (5,))
 
     def test_subset_is_sorted(self):
-        schedule = MeasurementSchedule.subset_of((9, 2, 5))
+        schedule = MeasurementSchedule("subset", 1, (9, 2, 5))
         assert schedule.subset == (2, 5, 9)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be one of none, subset, all, initial"):
+            MeasurementSchedule("some")
 
 
 def _random_state(window: BasisWindow, seed: int) -> QuantumState:
@@ -65,20 +68,20 @@ class TestApplyMeasurement:
     def test_none_returns_identical_state(self):
         window = BasisWindow.centered(0, 10)
         state = _random_state(window, 0)
-        out = apply_measurement(state, MeasurementSchedule.none(), PhaseRandomizer(1))
+        out = apply_measurement(state, MeasurementSchedule("none"), PhaseRandomizer(1))
         assert out is state
 
     def test_full_measurement_preserves_occupations(self):
         window = BasisWindow.centered(0, 50)
         state = _random_state(window, 1)
-        out = apply_measurement(state, MeasurementSchedule.all_states(), PhaseRandomizer(2))
+        out = apply_measurement(state, MeasurementSchedule("all"), PhaseRandomizer(2))
         assert np.allclose(out.occupations(), state.occupations(), rtol=1e-14, atol=0)
         assert not np.allclose(out.amplitudes, state.amplitudes)  # phases did change
 
     def test_delta_state_unchanged_up_to_global_phase(self):
         window = BasisWindow.centered(0, 10)
         state = QuantumState.delta(window)
-        out = apply_measurement(state, MeasurementSchedule.all_states(), PhaseRandomizer(3))
+        out = apply_measurement(state, MeasurementSchedule("all"), PhaseRandomizer(3))
         assert abs(abs(out.amplitudes[window.offset(0)]) - 1.0) < 1e-14
         occupied = np.nonzero(out.occupations() > 0)[0]
         assert list(occupied) == [window.offset(0)]
@@ -86,7 +89,7 @@ class TestApplyMeasurement:
     def test_subset_leaves_unmeasured_amplitudes_bit_identical(self):
         window = BasisWindow.centered(0, 20)
         state = _random_state(window, 4)
-        schedule = MeasurementSchedule.subset_of((-3, 7))
+        schedule = MeasurementSchedule("subset", 1, (-3, 7))
         out = apply_measurement(state, schedule, PhaseRandomizer(5))
         touched = [window.offset(-3), window.offset(7)]
         untouched = [i for i in range(window.size) if i not in touched]
@@ -96,10 +99,32 @@ class TestApplyMeasurement:
             rtol=1e-14, atol=0,
         )
 
+    def test_initial_mode_randomizes_m0_alone_with_one_draw(self):
+        window = BasisWindow(-20, 20, 7)
+        state = _random_state(window, 14)
+        used, reference = PhaseRandomizer(15, 2), PhaseRandomizer(15, 2)
+        out = apply_measurement(state, MeasurementSchedule("initial"), used)
+        reference.phases(1)
+        assert used._rng.bit_generator.state == reference._rng.bit_generator.state
+        home = window.offset(7)
+        untouched = [i for i in range(window.size) if i != home]
+        assert np.array_equal(out.amplitudes[untouched], state.amplitudes[untouched])
+        assert out.amplitudes[home] != state.amplitudes[home]
+        assert abs(out.amplitudes[home]) == pytest.approx(abs(state.amplitudes[home]), rel=1e-14)
+
+    def test_initial_mode_equals_a_subset_schedule_of_m0(self):
+        window = BasisWindow(-20, 20, 7)
+        state = _random_state(window, 16)
+        initial = apply_measurement(state, MeasurementSchedule("initial"), PhaseRandomizer(17))
+        subset = apply_measurement(
+            state, MeasurementSchedule("subset", 1, (7,)), PhaseRandomizer(17)
+        )
+        assert np.array_equal(initial.amplitudes, subset.amplitudes)
+
     def test_subset_outside_window_rejected(self):
         window = BasisWindow.centered(0, 10)
         state = QuantumState.delta(window)
-        schedule = MeasurementSchedule.subset_of((25,))
+        schedule = MeasurementSchedule("subset", 1, (25,))
         with pytest.raises(ValueError):
             apply_measurement(state, schedule, PhaseRandomizer(6))
 
@@ -109,14 +134,14 @@ class TestApplyMeasurement:
         window = BasisWindow.centered(0, 15)
         state = _random_state(window, seed)
         out = apply_measurement(
-            state, MeasurementSchedule.all_states(), PhaseRandomizer(seed)
+            state, MeasurementSchedule("all"), PhaseRandomizer(seed)
         )
         assert np.allclose(out.occupations(), state.occupations(), rtol=1e-13, atol=0)
 
     def test_dispersion_invariant_under_measurement(self):
         window = BasisWindow.centered(0, 40)
         state = _random_state(window, 7)
-        out = apply_measurement(state, MeasurementSchedule.all_states(), PhaseRandomizer(8))
+        out = apply_measurement(state, MeasurementSchedule("all"), PhaseRandomizer(8))
         # phases never enter the dispersion sum; equality up to roundoff of
         # the occupation products
         assert dispersion(out) == pytest.approx(dispersion(state), rel=1e-13)
@@ -151,7 +176,7 @@ class TestPhaseFactors:
         window = BasisWindow.centered(0, 300)
         state = _random_state(window, 9)
         used, reference = PhaseRandomizer(13, 4), PhaseRandomizer(13, 4)
-        out = apply_measurement(state, MeasurementSchedule.all_states(), used)
+        out = apply_measurement(state, MeasurementSchedule("all"), used)
         betas = reference.phases(window.size)
         assert used._rng.bit_generator.state == reference._rng.bit_generator.state
         assert np.allclose(out.amplitudes, state.amplitudes * np.exp(1j * betas),
@@ -195,7 +220,7 @@ class TestDecoherence:
         state = QuantumState(window, base)
         # incoherent expectation: sum_n |a_n|^2 ((n - m0)^2 + k^2/2)
         incoherent = 0.5 * (0.0 + 50.0) + 0.5 * (4.0 + 50.0)
-        schedule = MeasurementSchedule.all_states()
+        schedule = MeasurementSchedule("all")
         rng = PhaseRandomizer(11)
         trials = 20_000
         total = 0.0

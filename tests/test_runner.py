@@ -8,7 +8,6 @@ import pytest
 
 import zenomap.pool as pool
 from zenomap import ConfigError, ProbabilityPair, TruncationOverflowError
-from zenomap.measurement import MeasurementMode
 from zenomap.observables import DispersionSeries
 from zenomap.runner import (
     CONFIG_KEYS,
@@ -139,6 +138,34 @@ def test_bad_config_is_rejected_when_built(fields, key):
     assert excinfo.value.key == key
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("m0 = 500\nexperiment = quantum\n",
+         "must be one of zeno, kicked, classical (key 'experiment', line 2)"),
+        ("experiment = kicked\nspectrum = flat\n",
+         "must be one of rotator, linear, random (key 'spectrum', line 2)"),
+        ("experiment = kicked\nmeasurement_mode = some\n",
+         "must be one of none, subset, all, initial (key 'measurement_mode', line 2)"),
+        ("experiment = kicked\nmeasurement_mode = initial\nsubset = 500\n",
+         "subset given but mode is initial (key 'subset', line 3)"),
+        ("experiment = kicked\nwindow_halfwidth = 31\n",
+         "must be >= 32 for k = 10 (kick kernel of 65 states) (key 'window_halfwidth', line 2)"),
+    ],
+)
+def test_config_message_is_pinned(document, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(document)
+    assert str(excinfo.value) == message
+
+
+def test_only_a_kicked_run_needs_the_kernel_in_its_window():
+    for experiment in ("classical", "zeno"):
+        assert ExperimentConfig(experiment, window_halfwidth=8).window_halfwidth == 8
+    assert ExperimentConfig("kicked", k=0.0, window_halfwidth=8).window_halfwidth == 8
+    assert ExperimentConfig("kicked", window_halfwidth=32).window_halfwidth == 32
+
+
 def test_replace_checks_the_new_config():
     config = parse_config("experiment = kicked\nseed = 4\n")
     with pytest.raises(ConfigError) as excinfo:
@@ -150,17 +177,28 @@ def test_replace_checks_the_new_config():
 class TestPresets:
     def test_preset_schedules(self):
         base = parse_config("experiment = kicked\n")
-        assert base.with_preset("a").schedule().mode is MeasurementMode.NONE
+        assert base.with_preset("a").schedule().mode == "none"
         b = base.with_preset("b")
-        assert b.schedule().mode is MeasurementMode.SUBSET
-        assert b.schedule().subset == (500,)
+        assert b.schedule().mode == "initial"
+        assert b.schedule().subset is None
         assert b.schedule().period == 1
         c = base.with_preset("c")
-        assert c.schedule().mode is MeasurementMode.ALL
+        assert c.schedule().mode == "all"
         assert c.schedule().period == 200
         d = base.with_preset("d")
-        assert d.schedule().mode is MeasurementMode.ALL
+        assert d.schedule().mode == "all"
         assert d.schedule().period == 1
+
+    def test_initial_preset_csv_equals_the_subset_document(self):
+        document = (
+            "experiment = kicked\nn_kicks = 60\nwindow_halfwidth = 300\n"
+            "realizations = 2\nseed = 6\n"
+        )
+        initial = parse_config(document).with_preset("b")
+        subset = parse_config(document + "measurement_mode = subset\nsubset = 500\n")
+        assert render_csv(run_experiment(initial).aggregate) == render_csv(
+            run_experiment(subset).aggregate
+        )
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
