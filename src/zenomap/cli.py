@@ -13,13 +13,13 @@ import math
 import sys
 from typing import Optional, Sequence
 
+from .chart import emit_chart
 from .classical import ClassicalEnsemble, ensemble_diffusion
 from .errors import ConfigError, NonFiniteError, NormDriftError, TruncationOverflowError
 from .runner import (
     CONFIG_KEYS,
     PRESETS,
     _number,
-    emit_chart,
     parse_config,
     render_csv,
     run_experiment,
@@ -100,12 +100,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(text)
     if args.preset:
         config = config.with_preset(args.preset)
+    overrides = {}
     if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+        overrides["seed"] = args.seed
     if args.out:
-        config = dataclasses.replace(config, output_path=args.out)
+        overrides["output_path"] = args.out
     if args.svg:
-        config = dataclasses.replace(config, emit_svg=True)
+        overrides["emit_svg"] = True
+    if overrides:
+        config = dataclasses.replace(config, **overrides)
     if config.emit_svg and config.output_path is None:
         raise ConfigError("an SVG chart needs an output path; pass --out")
     record = run_experiment(config)

@@ -38,7 +38,8 @@ from .errors import TruncationOverflowError
 # this much probability before a kick; past it the run aborts.
 _BOUNDARY_LIMIT = 1e-10
 _MIN_WINDOW = 16
-_MAX_KERNEL_EPS = 1e-10
+# build_kernel truncates the kernel past the last |J_d(k)| >= this.
+_KERNEL_EPS = 1e-14
 # A kick zeroes an end band of its support that carries less probability
 # than this and shrinks the support past it.
 _SLICE_EPS = 1e-30
@@ -143,9 +144,6 @@ class QuantumState:
         lo, hi = a[:width], a[a.size - width:]
         return float(np.vdot(lo, lo).real), float(np.vdot(hi, hi).real)
 
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.window, self.amplitudes.copy(), self.time_index, self.support)
-
     @classmethod
     def delta(cls, window: BasisWindow) -> "QuantumState":
         """Unit amplitude on the initial state ``m0``, before any kick."""
@@ -176,41 +174,38 @@ def _times(state: QuantumState, factors: np.ndarray) -> np.ndarray:
 class KickKernel:
     """Real convolution weights ``J_d(k)`` for momentum transfers ``|d| <= d_max``."""
 
-    k: float
     coefficients: np.ndarray  # index d + d_max, d = -d_max..d_max
-    d_max: int
-    epsilon: float
+
+    @property
+    def d_max(self) -> int:
+        return self.coefficients.size // 2
 
     def offsets(self) -> np.ndarray:
         return np.arange(-self.d_max, self.d_max + 1)
 
 
-def build_kernel(k: float, epsilon: float = 1e-14) -> KickKernel:
-    """Compute the kick weights for strength ``k``, truncated at ``epsilon``.
+def build_kernel(k: float) -> KickKernel:
+    """Compute the kick weights for strength ``k``, truncated at ``_KERNEL_EPS``.
 
-    ``d_max`` is the smallest bandwidth with ``|J_d(k)| < epsilon`` for every
+    ``d_max`` is the smallest bandwidth with ``|J_d(k)| < _KERNEL_EPS`` for every
     ``|d| > d_max``. The weights satisfy ``sum J_d^2 = 1`` (the kick is
     unitary), ``sum d J_d^2 = 0`` (no mean momentum transfer) and
     ``sum d^2 J_d^2 = k^2 / 2`` (the single-kick dispersion increment).
     """
     if k < 0:
         raise ValueError(f"kick strength must be >= 0, got {k}")
-    if not 0.0 < epsilon <= _MAX_KERNEL_EPS:
-        raise ValueError(
-            f"epsilon={epsilon} cannot bracket the kernel; need 0 < epsilon <= {_MAX_KERNEL_EPS}"
-        )
     if k == 0:
-        return KickKernel(0.0, np.array([1.0]), 0, epsilon)
+        return KickKernel(np.array([1.0]))
     # Past the turning region |d| ~ k the coefficients decay superexponentially;
     # scan a generous band, extending until the tail is below threshold.
     d_hi = int(np.ceil(k + 12.0 * k ** (1.0 / 3.0) + 26.0))
-    while abs(jv(d_hi, k)) >= epsilon:
+    while abs(jv(d_hi, k)) >= _KERNEL_EPS:
         d_hi += 16
     magnitudes = np.abs(jv(np.arange(d_hi + 1), k))
-    above = np.nonzero(magnitudes >= epsilon)[0]
+    above = np.nonzero(magnitudes >= _KERNEL_EPS)[0]
     d_max = int(above[-1]) if above.size else 0
     coefficients = jv(np.arange(-d_max, d_max + 1), k)
-    return KickKernel(float(k), coefficients, d_max, epsilon)
+    return KickKernel(coefficients)
 
 
 def _check_kick(state: QuantumState, kernel: KickKernel) -> None:
@@ -302,7 +297,6 @@ class SpectrumModel:
     to the spectrum.
     """
 
-    tau: float
     phase_table: np.ndarray
     window: BasisWindow
     multiplier: np.ndarray = field(init=False, repr=False)
@@ -318,23 +312,23 @@ class SpectrumModel:
         """Quadratic spectrum ``H0(m) = m^2 / 2`` (kicked rotator)."""
         m = window.indices().astype(float)
         table = np.mod(0.5 * m * m * tau, 2.0 * np.pi)
-        return cls(tau, table, window)
+        return cls(table, window)
 
     @classmethod
     def linear(cls, window: BasisWindow, tau: float, omega: float) -> "SpectrumModel":
         """Equidistant spectrum ``H0(m) = omega * m`` (harmonic ladder)."""
         m = window.indices().astype(float)
         table = np.mod(omega * m * tau, 2.0 * np.pi)
-        return cls(tau, table, window)
+        return cls(table, window)
 
     @classmethod
-    def random_levels(cls, window: BasisWindow, tau: float, seed: int) -> "SpectrumModel":
+    def random_levels(cls, window: BasisWindow, seed: int) -> "SpectrumModel":
         """Seeded i.i.d. uniform phases ``2 pi g_m``, drawn once per run.
 
         Reproducible from ``seed``; the draw order follows ascending ``m``.
         """
         g = np.random.default_rng(seed).random(window.size)
-        return cls(tau, 2.0 * np.pi * g, window)
+        return cls(2.0 * np.pi * g, window)
 
 
 def apply_free(state: QuantumState, spectrum: SpectrumModel) -> QuantumState:

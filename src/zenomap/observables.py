@@ -18,6 +18,9 @@ from .errors import NoLocalizationError, NonFiniteError, NormDriftError
 from .kick_engine import QuantumState
 
 _NORM_SLACK = 1e-6
+_MIN_OCCUPATION = 1e-12
+_MIN_BINS_PER_SIDE = 20
+_SLOPE_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -116,19 +119,16 @@ def time_averaged_profile(states: Iterable[QuantumState]) -> np.ndarray:
 
 
 def fit_localization_length(
-    profile: np.ndarray,
-    m0: int,
-    m_min: Optional[int] = None,
-    min_occupation: float = 1e-12,
-    min_bins_per_side: int = 20,
+    profile: np.ndarray, m0: int, m_min: Optional[int] = None
 ) -> LocalizationFit:
     """Least-squares exponential envelope of an occupation profile.
 
     Fits ``log(profile)`` against ``|m - m0|`` jointly over both sides,
-    using only bins above ``min_occupation`` (log of numerical noise would
-    dominate otherwise). A non-negative slope means there is no decaying
-    envelope and raises :class:`NoLocalizationError`; that is the expected
-    outcome for delocalized profiles, e.g. under frequent full measurement.
+    using only bins above ``_MIN_OCCUPATION`` (log of numerical noise would
+    dominate otherwise), at least ``_MIN_BINS_PER_SIDE`` of them per side.
+    A non-negative slope means there is no decaying envelope and raises
+    :class:`NoLocalizationError`; that is the expected outcome for
+    delocalized profiles, e.g. under frequent full measurement.
 
     ``m_min`` gives the quantum number of ``profile[0]``; by default the
     profile is taken as centered on ``m0``.
@@ -137,12 +137,12 @@ def fit_localization_length(
     if m_min is None:
         m_min = m0 - (profile.size - 1) // 2
     m = np.arange(m_min, m_min + profile.size)
-    usable = profile > min_occupation
+    usable = profile > _MIN_OCCUPATION
     below = int(np.count_nonzero(usable & (m < m0)))
     above = int(np.count_nonzero(usable & (m > m0)))
-    if below < min_bins_per_side or above < min_bins_per_side:
+    if below < _MIN_BINS_PER_SIDE or above < _MIN_BINS_PER_SIDE:
         raise ValueError(
-            f"need >= {min_bins_per_side} usable bins per side, got "
+            f"need >= {_MIN_BINS_PER_SIDE} usable bins per side, got "
             f"{below} below and {above} above m0"
         )
     x = np.abs(m[usable] - m0).astype(float)
@@ -167,14 +167,12 @@ def diffusion_slope(series: DispersionSeries, j_lo: int, j_hi: int) -> float:
     return float(np.polyfit(series.j[mask], series.dispersion[mask], 1)[0])
 
 
-def detect_break_time(
-    series: DispersionSeries, window: int = 25, slope_ratio: float = 0.25
-) -> BreakTimeEstimate:
+def detect_break_time(series: DispersionSeries, window: int = 25) -> BreakTimeEstimate:
     """First kick where the local growth rate collapses below the initial one.
 
     Slopes are measured over trailing blocks of ``window`` kicks and compared
     against the slope over the first block; the break is the first index
-    where the trailing slope falls below ``slope_ratio`` times the initial
+    where the trailing slope falls below ``_SLOPE_RATIO`` times the initial
     slope. For a kick strength ``k`` a block of about ``k^2 / 4`` kicks
     resolves the crossover well. Series that never slow down come back with
     the ``delocalized`` flag set.
@@ -191,7 +189,7 @@ def detect_break_time(
     d = series.dispersion
     head = j <= j[0] + window
     initial_slope = float(np.polyfit(j[head], d[head], 1)[0])
-    threshold = slope_ratio * initial_slope
+    threshold = _SLOPE_RATIO * initial_slope
     for pos in range(len(series)):
         if j[pos] < j[0] + window:
             continue

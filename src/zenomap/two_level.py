@@ -48,30 +48,6 @@ class TwoLevelState:
         total = w1 + w2
         return ProbabilityPair(w1 / total, w2 / total)
 
-    @classmethod
-    def ground(cls) -> "TwoLevelState":
-        return cls(1.0 + 0.0j, 0.0 + 0.0j)
-
-
-@dataclass(frozen=True)
-class RabiParams:
-    """Drive frequency and readout interval.
-
-    ``phi`` is the half rotation angle accumulated between consecutive
-    readouts, the single parameter the step operators depend on.
-    """
-
-    omega: float
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-
-    @property
-    def phi(self) -> float:
-        return 0.5 * self.omega * self.tau
-
 
 @dataclass(frozen=True)
 class ProbabilityPair:

@@ -19,6 +19,7 @@ from zenomap import (
     step,
 )
 from zenomap.kick_engine import (
+    _KERNEL_EPS,
     _SLICE_EPS,
     KickKernel,
     adjoint_step,
@@ -66,17 +67,15 @@ class TestBuildKernel:
     def test_bandwidth_is_minimal(self):
         mpmath.mp.dps = 50
         kernel = build_kernel(10.0)
-        eps = kernel.epsilon
+        eps = _KERNEL_EPS
         assert abs(float(mpmath.besselj(kernel.d_max, 10.0))) >= eps
         assert abs(float(mpmath.besselj(kernel.d_max + 1, 10.0))) < eps
 
-    def test_rejects_large_epsilon(self):
-        with pytest.raises(ValueError):
-            build_kernel(10.0, epsilon=1e-9)
-
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError):
-            build_kernel(10.0, epsilon=0.0)
+    @pytest.mark.parametrize("k", np.geomspace(1e-3, 1e4, 29))
+    def test_bandwidth_reaches_k(self, k):
+        # ExperimentConfig refuses k > window_halfwidth without building the
+        # kernel; that is sound only because d_max >= k.
+        assert build_kernel(k).d_max >= k
 
     def test_rejects_negative_strength(self):
         with pytest.raises(ValueError):
@@ -117,7 +116,7 @@ class TestApplyKick:
         amps /= np.linalg.norm(amps)
         state = QuantumState(window, amps)
         out = apply_kick(state, kernel10)
-        assert abs(out.norm_sq() - 1.0) < 10 * kernel10.epsilon + 1e-13
+        assert abs(out.norm_sq() - 1.0) < 10 * _KERNEL_EPS + 1e-13
 
     def test_boundary_breach_raises_and_names_edge(self):
         kernel = build_kernel(5.0)
@@ -180,7 +179,7 @@ class TestApplyFree:
 
     def test_occupations_unchanged_for_any_spectrum(self):
         window = BasisWindow.centered(0, 20)
-        spectrum = SpectrumModel.random_levels(window, tau=1.0, seed=8)
+        spectrum = SpectrumModel.random_levels(window, seed=8)
         rng = np.random.default_rng(4)
         amps = rng.normal(size=41) + 1j * rng.normal(size=41)
         amps /= np.linalg.norm(amps)
@@ -274,7 +273,7 @@ class TestTimeReversal:
 
     def test_adjoint_inverts_single_step(self, kernel10):
         window = BasisWindow.centered(0, 300)
-        spectrum = SpectrumModel.random_levels(window, tau=1.0, seed=2)
+        spectrum = SpectrumModel.random_levels(window, seed=2)
         rng = np.random.default_rng(9)
         amps = rng.normal(size=601) + 1j * rng.normal(size=601)
         amps[:200] = amps[-200:] = 0.0
@@ -318,9 +317,9 @@ class TestTypes:
 
     def test_spectrum_reproducible_from_seed(self):
         window = BasisWindow.centered(0, 10)
-        a = SpectrumModel.random_levels(window, 1.0, seed=5)
-        b = SpectrumModel.random_levels(window, 1.0, seed=5)
-        c = SpectrumModel.random_levels(window, 1.0, seed=6)
+        a = SpectrumModel.random_levels(window, seed=5)
+        b = SpectrumModel.random_levels(window, seed=5)
+        c = SpectrumModel.random_levels(window, seed=6)
         assert np.array_equal(a.phase_table, b.phase_table)
         assert not np.array_equal(a.phase_table, c.phase_table)
 
@@ -407,7 +406,7 @@ class TestSupport:
     def test_end_band_trimmed_below_slice_eps(self, factor, kept):
         # This kernel moves every amplitude down one bin, so the lowest
         # amplitude lands in the new lower end band (d_max = 1) by itself.
-        shift = KickKernel(1.0, np.array([1.0, 0.0, 0.0]), 1, 1e-14)
+        shift = KickKernel(np.array([1.0, 0.0, 0.0]))
         window = BasisWindow.centered(0, 20)
         amps = np.zeros(window.size, complex)
         amps[10] = math.sqrt(factor * _SLICE_EPS)

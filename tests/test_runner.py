@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 import zenomap.pool as pool
+import zenomap.runner as runner
 from zenomap import ConfigError, ProbabilityPair, TruncationOverflowError
+from zenomap.chart import emit_chart, render_chart
 from zenomap.observables import DispersionSeries
 from zenomap.runner import (
     CONFIG_KEYS,
     ExperimentConfig,
     RunRecord,
-    emit_chart,
     parse_config,
-    render_chart,
     render_csv,
     run_experiment,
     write_csv,
@@ -157,6 +157,20 @@ def test_config_message_is_pinned(document, message):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(document)
     assert str(excinfo.value) == message
+
+
+def test_kick_wider_than_the_window_is_refused_without_building_the_kernel(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"build_kernel({k}) called")
+
+    monkeypatch.setattr(runner, "build_kernel", refuse)
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config("experiment = kicked\nk = 1e6\n")
+    assert excinfo.value.key == "window_halfwidth"
+    assert str(excinfo.value) == (
+        "must be >= 1000000 for k = 1e+06 (the kick kernel reaches at least k "
+        "states each way) (key 'window_halfwidth')"
+    )
 
 
 def test_only_a_kicked_run_needs_the_kernel_in_its_window():

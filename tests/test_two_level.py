@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from zenomap import InvalidStateError, ProbabilityPair, zeno_survival
 from zenomap.two_level import (
-    RabiParams,
     TwoLevelState,
     coherent_evolve,
     coherent_step,
@@ -306,14 +305,6 @@ def test_phase_difference_interference_averages_out():
 
 
 class TestTypes:
-    def test_rabi_params_phi(self):
-        params = RabiParams(omega=math.pi, tau=0.5)
-        assert params.phi == pytest.approx(math.pi / 4)
-
-    def test_rabi_params_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            RabiParams(omega=1.0, tau=0.0)
-
     def test_probability_pair_must_sum_to_one(self):
         with pytest.raises(ValueError):
             ProbabilityPair(0.7, 0.7)
