@@ -27,10 +27,12 @@ from typing import Union
 
 import numpy as np
 
+from .observables import DispersionSeries
+
 # Chaos threshold of the standard map, K = tau * k.
 K_CRITICAL = 0.9816
 
-_SeedLike = Union[int, np.random.Generator, None]
+_SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 _TWO_PI = 2.0 * math.pi
 
 
@@ -110,15 +112,13 @@ def ensemble_diffusion(ensemble: ClassicalEnsemble, steps: int) -> float:
     return float(series.dispersion[-1] / (2.0 * steps * ensemble.tau))
 
 
-def ensemble_series(ensemble: ClassicalEnsemble, steps: int):
+def ensemble_series(ensemble: ClassicalEnsemble, steps: int) -> DispersionSeries:
     """Per-kick dispersion record in the same shape the quantum runs emit.
 
     Evolves a copy of the stored angles from action ``I0``. Entries are
     ``(j, <(I - I0)^2>, 1.0, fraction within half a cell of I0)`` so
     classical curves drop into the same CSV schema and charts.
     """
-    from .observables import DispersionSeries  # local import, avoids cycle at import time
-
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     angles = ensemble.particles.copy()
@@ -127,11 +127,9 @@ def ensemble_series(ensemble: ClassicalEnsemble, steps: int):
     j = np.arange(steps + 1)
     dispersion = np.zeros(steps + 1)
     p_home = np.zeros(steps + 1)
-    spread = actions - ensemble.I0
-    dispersion[0] = np.mean(spread * spread)
-    p_home[0] = np.count_nonzero(np.abs(spread) <= 0.5) / n
-    for t in range(1, steps + 1):
-        _step_arrays(actions, angles, ensemble.k, ensemble.tau)
+    for t in range(steps + 1):
+        if t:
+            _step_arrays(actions, angles, ensemble.k, ensemble.tau)
         spread = actions - ensemble.I0
         dispersion[t] = np.mean(spread * spread)
         p_home[t] = np.count_nonzero(np.abs(spread) <= 0.5) / n

@@ -27,7 +27,7 @@ norm. On a support that spans the whole window the kick is the plain
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import jv
@@ -184,8 +184,10 @@ class KickKernel:
         return np.arange(-self.d_max, self.d_max + 1)
 
 
+@lru_cache(maxsize=8)
 def build_kernel(k: float) -> KickKernel:
-    """Compute the kick weights for strength ``k``, truncated at ``_KERNEL_EPS``.
+    """The kick weights for strength ``k``, truncated at ``_KERNEL_EPS``; one
+    shared kernel per ``k`` (the last 8 are kept), with read-only coefficients.
 
     ``d_max`` is the smallest bandwidth with ``|J_d(k)| < _KERNEL_EPS`` for every
     ``|d| > d_max``. The weights satisfy ``sum J_d^2 = 1`` (the kick is
@@ -194,17 +196,15 @@ def build_kernel(k: float) -> KickKernel:
     """
     if k < 0:
         raise ValueError(f"kick strength must be >= 0, got {k}")
-    if k == 0:
-        return KickKernel(np.array([1.0]))
     # Past the turning region |d| ~ k the coefficients decay superexponentially;
     # scan a generous band, extending until the tail is below threshold.
     d_hi = int(np.ceil(k + 12.0 * k ** (1.0 / 3.0) + 26.0))
     while abs(jv(d_hi, k)) >= _KERNEL_EPS:
         d_hi += 16
     magnitudes = np.abs(jv(np.arange(d_hi + 1), k))
-    above = np.nonzero(magnitudes >= _KERNEL_EPS)[0]
-    d_max = int(above[-1]) if above.size else 0
+    d_max = int(np.flatnonzero(magnitudes >= _KERNEL_EPS)[-1])  # sum J_d^2 = 1: never empty
     coefficients = jv(np.arange(-d_max, d_max + 1), k)
+    coefficients.flags.writeable = False
     return KickKernel(coefficients)
 
 
@@ -306,6 +306,7 @@ class SpectrumModel:
         if self.phase_table.shape != (self.window.size,):
             raise ValueError("phase table does not cover the window")
         self.multiplier = np.exp(-1j * self.phase_table)
+        self.multiplier.flags.writeable = False
 
     @classmethod
     def rotator(cls, window: BasisWindow, tau: float) -> "SpectrumModel":

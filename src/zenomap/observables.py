@@ -10,12 +10,17 @@ diffusion rate and the time at which diffusive growth stops are estimated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
 from .errors import NoLocalizationError, NonFiniteError, NormDriftError
-from .kick_engine import QuantumState
+
+# For annotations only: ``classical`` imports this module, and importing
+# kick_engine (and so scipy.special) from here made ``import zenomap`` about
+# 75 ms slower.
+if TYPE_CHECKING:
+    from .kick_engine import QuantumState
 
 _NORM_SLACK = 1e-6
 _MIN_OCCUPATION = 1e-12

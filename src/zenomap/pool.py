@@ -9,7 +9,7 @@ the thread count.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, TypeVar
 
 from .errors import ConfigError
@@ -38,10 +38,17 @@ def thread_budget() -> int:
 def map_ordered(fn: Callable[[int], T], count: int) -> list[T]:
     """``[fn(0), ..., fn(count - 1)]``, on up to :func:`thread_budget` threads.
 
-    With one usable thread (or one piece) no pool is started.
+    With one usable thread (or one piece) no pool is started. When a piece
+    raises, the pieces not yet started are cancelled and the error of the
+    lowest failing index is raised, as in a serial run: pieces start in index
+    order, so every piece before a failed one runs to its end.
     """
     workers = min(thread_budget(), count)
     if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
+        futures = [pool.submit(fn, i) for i in range(count)]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        for future in futures:
+            future.cancel()
+        return [future.result() for future in futures]

@@ -10,10 +10,11 @@ all states every 200 kicks / all states every kick).
 
 Reproducibility contract: a run is a pure function of (config, seed).
 Measurement phases for realization ``r`` come from the substream
-``SeedSequence(seed, spawn_key=(0, r))``; a random level spectrum is drawn
-once from ``SeedSequence(seed)`` and shared by every realization (the
-spectrum is a property of the system, not of the trajectory). Realizations
-may evolve on a thread pool capped by the ``ZENO_MAP_THREADS`` environment
+``SeedSequence(seed, spawn_key=(0, r))``. The window, kick kernel and level
+spectrum (a random one drawn once from ``SeedSequence(seed)``) are properties
+of the system, built once per run and shared read-only by every realization,
+which owns only its phase stream, state and output arrays. Realizations may
+evolve on a thread pool capped by the ``ZENO_MAP_THREADS`` environment
 variable (default: the CPUs the process may run on); results are aggregated
 in realization order, so output bytes do not depend on the thread count.
 """
@@ -134,51 +135,52 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # simulators
 
-def _simulate_kicked(config: ExperimentConfig, realization: int) -> DispersionSeries:
+def _simulate_kicked(config: ExperimentConfig) -> Callable[[int], DispersionSeries]:
     window = config.window()
+    window.dispersion_weights  # cached before any realization thread reads it
     kernel = build_kernel(config.k)
     spectrum = config.spectrum_model(window)
     schedule = config.schedule()
-    rng = PhaseRandomizer(config.seed, realization)
-    state = QuantumState.delta(window)
     home = window.offset(window.m0)
-
     n = config.n_kicks
-    j = np.arange(n + 1)
-    disp = np.zeros(n + 1)
-    norm = np.zeros(n + 1)
-    p_home = np.zeros(n + 1)
-    disp[0] = dispersion(state)
-    norm[0] = state.norm_sq()
-    p_home[0] = abs(state.amplitudes[home]) ** 2
-    try:
-        for kick in range(1, n + 1):
-            state = step(state, kernel, spectrum)
-            if should_measure(schedule, kick):
-                state = apply_measurement(state, schedule, rng)
-            disp[kick] = dispersion(state)
-            norm[kick] = state.norm_sq()
-            p_home[kick] = abs(state.amplitudes[home]) ** 2
-    except TruncationOverflowError as err:
-        raise TruncationOverflowError(
-            f"run aborted after kick {state.time_index}: {err}; rerun with a "
-            f"window_halfwidth larger than {config.window_halfwidth}",
-            edge=err.edge,
-            occupation=err.occupation,
-        ) from err
-    return DispersionSeries(j, disp, norm, p_home)
+
+    def realization(r: int) -> DispersionSeries:
+        rng = PhaseRandomizer(config.seed, r)
+        state = QuantumState.delta(window)
+        disp, norm, p_home = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+        try:
+            for kick in range(n + 1):
+                if kick:
+                    state = step(state, kernel, spectrum)
+                    if should_measure(schedule, kick):
+                        state = apply_measurement(state, schedule, rng)
+                disp[kick] = dispersion(state)
+                norm[kick] = state.norm_sq()
+                p_home[kick] = abs(state.amplitudes[home]) ** 2
+        except TruncationOverflowError as err:
+            raise TruncationOverflowError(
+                f"run aborted after kick {state.time_index}: {err}; rerun with a "
+                f"window_halfwidth larger than {config.window_halfwidth}",
+                edge=err.edge,
+                occupation=err.occupation,
+            ) from err
+        return DispersionSeries(np.arange(n + 1), disp, norm, p_home)
+
+    return realization
 
 
-def _simulate_classical(config: ExperimentConfig, realization: int) -> DispersionSeries:
-    seq = np.random.SeedSequence(config.seed, spawn_key=(0, realization))
-    ensemble = ClassicalEnsemble.prepared(
-        config.particles, float(config.m0), config.tau, config.k,
-        seed=np.random.Generator(np.random.PCG64(seq)),
-    )
-    return ensemble_series(ensemble, config.n_kicks)
+def _simulate_classical(config: ExperimentConfig) -> Callable[[int], DispersionSeries]:
+    def realization(r: int) -> DispersionSeries:
+        ensemble = ClassicalEnsemble.prepared(
+            config.particles, float(config.m0), config.tau, config.k,
+            seed=np.random.SeedSequence(config.seed, spawn_key=(0, r)),
+        )
+        return ensemble_series(ensemble, config.n_kicks)
+
+    return realization
 
 
-def _simulate_zeno(config: ExperimentConfig, realization: int) -> DispersionSeries:
+def _simulate_zeno(config: ExperimentConfig) -> Callable[[int], DispersionSeries]:
     # Closed-form measured evolution of the two-level system from level 1. For
     # the ladder m in {m0, m0 + 1}, the momentum dispersion reduces to the
     # transfer probability p2, and p_m0 is the survival probability p1.
@@ -188,9 +190,11 @@ def _simulate_zeno(config: ExperimentConfig, realization: int) -> DispersionSeri
     j = np.arange(config.n_kicks + 1)
     angle = 2.0 * phi
     contrast = np.float_power(math.cos(angle) if math.isfinite(angle) else math.nan, j)
-    return DispersionSeries(j, 0.5 * (1.0 - contrast), np.ones(j.size), 0.5 * (1.0 + contrast))
+    series = DispersionSeries(j, 0.5 * (1.0 - contrast), np.ones(j.size), 0.5 * (1.0 + contrast))
+    return lambda r: series
 
 
+# Run set-up per experiment: returns the function of realization r.
 _SIMULATORS = {
     "zeno": _simulate_zeno,
     "kicked": _simulate_kicked,
@@ -330,8 +334,6 @@ class RunRecord:
 
 
 def _aggregate(series: Sequence[DispersionSeries]) -> DispersionSeries:
-    if len(series) == 1:
-        return series[0]
     return DispersionSeries(
         series[0].j,
         np.mean([s.dispersion for s in series], axis=0),
@@ -347,8 +349,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     records regardless of the thread budget.
     """
     t0 = time.perf_counter()
-    simulate = _SIMULATORS[config.experiment]
-    series = map_ordered(lambda r: simulate(config, r), config.realizations)
+    series = map_ordered(_SIMULATORS[config.experiment](config), config.realizations)
     record = RunRecord(
         config=config,
         realization_series=series,

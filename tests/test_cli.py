@@ -5,6 +5,7 @@ import os
 import pytest
 
 import zenomap.cli as cli
+import zenomap.kick_engine as kick_engine
 import zenomap.measurement as measurement
 import zenomap.pool as pool
 import zenomap.runner as runner
@@ -44,6 +45,15 @@ class TestRunCommand:
 
     def test_svg_without_path_is_config_error(self, config_file):
         assert main(["run", str(config_file), "--svg"]) == 2
+
+    def test_preset_run_builds_the_kernel_once(self, tmp_path):
+        # Document, preset, overrides and three realizations share one kernel.
+        path = tmp_path / "run.cfg"
+        path.write_text("experiment = kicked\nn_kicks = 5\nrealizations = 3\nseed = 1\n")
+        kick_engine.build_kernel.cache_clear()
+        out = tmp_path / "series.csv"
+        assert main(["run", str(path), "--preset", "d", "--out", str(out), "--svg"]) == 0
+        assert kick_engine.build_kernel.cache_info().misses == 1
 
     def test_failed_replace_is_io_error_and_keeps_old_csv(
         self, config_file, tmp_path, monkeypatch

@@ -81,6 +81,12 @@ class TestBuildKernel:
         with pytest.raises(ValueError):
             build_kernel(-1.0)
 
+    def test_one_shared_read_only_kernel_per_strength(self):
+        kernel = build_kernel(10.0)
+        assert build_kernel(10.0) is kernel
+        with pytest.raises(ValueError):
+            kernel.coefficients[0] = 0.0
+
 
 class TestApplyKick:
     def test_zero_strength_leaves_state_unchanged(self):
@@ -328,6 +334,11 @@ class TestTypes:
         spectrum = SpectrumModel.rotator(window, tau=1.0)
         assert np.all(spectrum.phase_table >= 0.0)
         assert np.all(spectrum.phase_table < 2 * math.pi)
+
+    def test_multiplier_is_read_only(self):
+        spectrum = SpectrumModel.rotator(BasisWindow.centered(500, 100), tau=1.0)
+        with pytest.raises(ValueError):
+            spectrum.multiplier[0] = 1.0
 
 
 def _reference_series(config: ExperimentConfig) -> np.ndarray:

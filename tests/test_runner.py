@@ -2,13 +2,14 @@
 
 import dataclasses
 import os
+import time
 
 import numpy as np
 import pytest
 
 import zenomap.pool as pool
 import zenomap.runner as runner
-from zenomap import ConfigError, ProbabilityPair, TruncationOverflowError
+from zenomap import ConfigError, ProbabilityPair, SpectrumModel, TruncationOverflowError
 from zenomap.chart import emit_chart, render_chart
 from zenomap.observables import DispersionSeries
 from zenomap.runner import (
@@ -308,6 +309,63 @@ class TestRunExperiment:
         record = run_experiment(_small_config(realizations=1, n_kicks=10))
         assert record.wall_time >= 0.0
         assert record.version
+
+    def test_realizations_share_one_read_only_set_up(self, monkeypatch):
+        built, seen = [], []
+        real_init, real_step = SpectrumModel.__post_init__, runner.step
+
+        def counted_init(spectrum):
+            built.append(spectrum)
+            real_init(spectrum)
+
+        def spied_step(state, kernel, spectrum):
+            seen.append((state.window, kernel, spectrum))
+            return real_step(state, kernel, spectrum)
+
+        monkeypatch.setattr(SpectrumModel, "__post_init__", counted_init)
+        monkeypatch.setattr(runner, "step", spied_step)
+        run_experiment(_small_config(n_kicks=4, realizations=3))
+        assert len(built) == 1
+        assert len(seen) == 12
+        assert len({tuple(map(id, shared)) for shared in seen}) == 1
+        window, kernel, spectrum = seen[0]
+        for array in (window.dispersion_weights, kernel.coefficients, spectrum.multiplier):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+
+class TestMapOrdered:
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failing_piece_cancels_the_pieces_not_started(self, monkeypatch, failing):
+        # With failing = 1, piece 0 is still running when piece 1 fails.
+        monkeypatch.setenv("ZENO_MAP_THREADS", "2")
+        started = []
+
+        def piece(i):
+            started.append(i)
+            if i == failing:
+                raise RuntimeError(f"piece {i} failed")
+            time.sleep(0.3 if i == 0 else 0.01)
+            return i
+
+        with pytest.raises(RuntimeError, match=f"piece {failing}"):
+            pool.map_ordered(piece, 40)
+        assert len(started) < 16
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_lowest_failing_piece_is_raised(self, monkeypatch, threads):
+        # Piece 2 fails first in time; a serial run raises piece 1's error.
+        monkeypatch.setenv("ZENO_MAP_THREADS", threads)
+
+        def piece(i):
+            if i == 1:
+                time.sleep(0.2)
+            if i in (1, 2):
+                raise RuntimeError(f"piece {i} failed")
+            return i
+
+        with pytest.raises(RuntimeError, match="piece 1"):
+            pool.map_ordered(piece, 6)
 
 
 class TestScenarioOrdering:
