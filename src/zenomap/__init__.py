@@ -1,11 +1,12 @@
 """Quantum maps under repeated measurement.
 
 Simulates how frequent state readout reshapes quantum dynamics in two
-opposite regimes: a driven two-level system, where readout freezes the
-coherent transfer (the quantum Zeno effect), and kicked multilevel ladders,
-where readout destroys the interference responsible for dynamical
-localization and restores diffusive, classical-like energy growth. A
-classical standard-map ensemble provides the diffusion baseline.
+opposite regimes: a driven two-level system, where readout between drive
+segments freezes the transfer (the quantum Zeno effect, in closed form and
+by Monte Carlo), and kicked multilevel ladders, where readout destroys the
+interference responsible for dynamical localization and restores diffusive,
+classical-like energy growth. A classical standard-map ensemble provides the
+diffusion baseline.
 
 The package exports the library calls the README documents and the error
 classes; everything else is imported from its module (``zenomap.runner``,
@@ -17,7 +18,6 @@ __version__ = "0.1.0"
 from .classical import ClassicalEnsemble, ensemble_diffusion
 from .errors import (
     ConfigError,
-    InvalidStateError,
     NoLocalizationError,
     NonFiniteError,
     NormDriftError,
@@ -37,7 +37,7 @@ from .two_level import ProbabilityPair, zeno_survival
 __all__ = [
     "__version__",
     # errors
-    "ZenomapError", "InvalidStateError", "TruncationOverflowError",
+    "ZenomapError", "TruncationOverflowError",
     "NoLocalizationError", "NormDriftError", "NonFiniteError", "ConfigError",
     # kicked ladder
     "BasisWindow", "QuantumState", "SpectrumModel", "build_kernel", "step",

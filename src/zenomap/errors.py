@@ -5,10 +5,6 @@ class ZenomapError(Exception):
     """Base class for all package-specific errors."""
 
 
-class InvalidStateError(ZenomapError, ValueError):
-    """A wave-function argument is not normalized within tolerance."""
-
-
 class TruncationOverflowError(ZenomapError, RuntimeError):
     """Probability has come within one kick of the truncated window's edge.
 

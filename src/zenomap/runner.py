@@ -13,10 +13,13 @@ Measurement phases for realization ``r`` come from the substream
 ``SeedSequence(seed, spawn_key=(0, r))``. The window, kick kernel and level
 spectrum (a random one drawn once from ``SeedSequence(seed)``) are properties
 of the system, built once per run and shared read-only by every realization,
-which owns only its phase stream, state and output arrays. Realizations may
-evolve on a thread pool capped by the ``ZENO_MAP_THREADS`` environment
-variable (default: the CPUs the process may run on); results are aggregated
-in realization order, so output bytes do not depend on the thread count.
+which owns only its phase stream, state and output arrays. A run without
+random input (a zeno run, or a kicked run whose ``measurement_mode`` is
+``none``) is computed once: every realization is that one series, and so is
+the aggregate, whatever ``realizations`` is. Realizations may evolve on a
+thread pool capped by the ``ZENO_MAP_THREADS`` environment variable
+(default: the CPUs the process may run on); results are aggregated in
+realization order, so output bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .measurement import (
 )
 from .observables import DispersionSeries, dispersion
 from .pool import map_ordered
+from .two_level import ProbabilityPair, measured_populations
 
 # Scenario presets: measurement schedule per curve label.
 PRESETS = {
@@ -166,6 +170,9 @@ def _simulate_kicked(config: ExperimentConfig) -> Callable[[int], DispersionSeri
             ) from err
         return DispersionSeries(np.arange(n + 1), disp, norm, p_home)
 
+    if schedule.mode == "none":  # no readout draws a phase: every realization is this one
+        series = realization(0)
+        return lambda r: series
     return realization
 
 
@@ -181,16 +188,13 @@ def _simulate_classical(config: ExperimentConfig) -> Callable[[int], DispersionS
 
 
 def _simulate_zeno(config: ExperimentConfig) -> Callable[[int], DispersionSeries]:
-    # Closed-form measured evolution of the two-level system from level 1. For
-    # the ladder m in {m0, m0 + 1}, the momentum dispersion reduces to the
-    # transfer probability p2, and p_m0 is the survival probability p1.
-    # np.float_power, unlike ** on ints, matches measured_evolve_closed exactly.
-    # An overflowing phase gives nan rows, which the series rejects.
-    phi = 0.5 * config.omega * config.tau
+    # The two-level system read out after every segment, from level 1. For the
+    # ladder m in {m0, m0 + 1}, the momentum dispersion reduces to the transfer
+    # probability p2, and p_m0 is the survival probability p1. An overflowing
+    # phase gives nan rows, which the series rejects.
     j = np.arange(config.n_kicks + 1)
-    angle = 2.0 * phi
-    contrast = np.float_power(math.cos(angle) if math.isfinite(angle) else math.nan, j)
-    series = DispersionSeries(j, 0.5 * (1.0 - contrast), np.ones(j.size), 0.5 * (1.0 + contrast))
+    p1, p2 = measured_populations(ProbabilityPair(1.0, 0.0), 0.5 * config.omega * config.tau, j)
+    series = DispersionSeries(j, p2, np.ones(j.size), p1)
     return lambda r: series
 
 
@@ -350,13 +354,15 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """
     t0 = time.perf_counter()
     series = map_ordered(_SIMULATORS[config.experiment](config), config.realizations)
-    record = RunRecord(
+    # A run without random input hands every realization the same series; that
+    # series is the aggregate, since a mean of copies would move its last bits.
+    same = all(s is series[0] for s in series)
+    return RunRecord(
         config=config,
         realization_series=series,
-        aggregate=_aggregate(series),
+        aggregate=series[0] if same else _aggregate(series),
         wall_time=time.perf_counter() - t0,
     )
-    return record
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Two-level Rabi dynamics with and without repeated readout.
+"""The driven two-level system read out between drive segments.
 
 A resonantly driven two-level system rotates coherently between its states;
 splitting the drive into segments and reading the populations out after each
@@ -9,8 +9,11 @@ state, which is the quantum Zeno effect.
 Readout is modeled as phase randomization: the populations are kept and the
 amplitude phases are redrawn uniformly. Averaged over the random phases the
 interference term of the coherent step drops out and the populations evolve
-under a symmetric doubly stochastic matrix whose matrix power has a simple
-closed form.
+under a symmetric doubly stochastic matrix whose matrix power has a closed
+form, :func:`measured_populations`. :func:`measured_evolve_closed` and the
+runner's ``zeno`` experiment both read it; :func:`measured_probability_step`
+is one segment of the same map, and :func:`monte_carlo_measured_evolve`
+draws the phases explicitly and converges to it.
 """
 
 from __future__ import annotations
@@ -21,32 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError
 from .pool import map_ordered, thread_budget
 
-# Inputs are rejected as un-normalized beyond this; unitary steps preserve
-# the norm far more tightly than this on their own.
-_NORM_TOL = 1e-9
 _PAIR_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TwoLevelState:
-    """Pure state of a two-level system, stored as two complex amplitudes."""
-
-    a1: complex
-    a2: complex
-
-    def norm_sq(self) -> float:
-        """Total probability carried by the two amplitudes."""
-        return abs(self.a1) ** 2 + abs(self.a2) ** 2
-
-    def probabilities(self) -> "ProbabilityPair":
-        """Occupation probabilities, renormalized against norm roundoff."""
-        w1 = abs(self.a1) ** 2
-        w2 = abs(self.a2) ** 2
-        total = w1 + w2
-        return ProbabilityPair(w1 / total, w2 / total)
 
 
 @dataclass(frozen=True)
@@ -66,43 +46,6 @@ class ProbabilityPair:
             )
 
 
-def _require_normalized(state: TwoLevelState) -> None:
-    if abs(state.norm_sq() - 1.0) > _NORM_TOL:
-        raise InvalidStateError(
-            f"state norm^2 = {state.norm_sq()} deviates from 1 by more than {_NORM_TOL}"
-        )
-
-
-def coherent_step(state: TwoLevelState, phi: float) -> TwoLevelState:
-    """Rotate the amplitudes by one drive segment of half-angle ``phi``.
-
-    The segment propagator mixes the amplitudes as
-    ``(a1, a2) -> (a1 cos(phi) + i a2 sin(phi), i a1 sin(phi) + a2 cos(phi))``,
-    a unitary rotation that preserves the norm.
-    """
-    _require_normalized(state)
-    c = math.cos(phi)
-    s = math.sin(phi)
-    return TwoLevelState(
-        c * state.a1 + 1j * s * state.a2,
-        1j * s * state.a1 + c * state.a2,
-    )
-
-
-def coherent_evolve(state: TwoLevelState, phi: float, n: int) -> TwoLevelState:
-    """Apply ``n`` drive segments at once using the closed-form power.
-
-    The n-th power of the segment propagator is the same rotation at angle
-    ``n * phi``, so uninterrupted evolution needs no iteration.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    _require_normalized(state)
-    if n == 0:
-        return state
-    return coherent_step(state, n * phi)
-
-
 def measured_probability_step(p: ProbabilityPair, phi: float) -> ProbabilityPair:
     """Advance the populations by one segment with readout in between.
 
@@ -115,18 +58,28 @@ def measured_probability_step(p: ProbabilityPair, phi: float) -> ProbabilityPair
     return ProbabilityPair(c2 * p.p1 + s2 * p.p2, s2 * p.p1 + c2 * p.p2)
 
 
-def measured_evolve_closed(p: ProbabilityPair, phi: float, n: int) -> ProbabilityPair:
-    """Populations after ``n`` measured segments, via diagonalization.
+def measured_populations(p: ProbabilityPair, phi: float, n):
+    """Populations ``(p1, p2)`` after ``n`` measured segments from ``p``.
 
     The population matrix has eigenvalues 1 and ``cos(2 phi)``, so its n-th
-    power acts as ``p1 -> (1 + cos^n(2 phi) (p1 - p2)) / 2``.
+    power acts as ``p1 -> (1 + cos^n(2 phi) (p1 - p2)) / 2``. ``n`` is an int
+    or an integer array; the populations are numpy scalars or arrays of its
+    shape. A non-finite ``phi`` gives nan, which the caller rejects.
     """
+    angle = 2.0 * phi
+    cos_n = np.float_power(math.cos(angle) if math.isfinite(angle) else math.nan, n)
+    contrast = cos_n * (p.p1 - p.p2)
+    return 0.5 * (1.0 + contrast), 0.5 * (1.0 - contrast)
+
+
+def measured_evolve_closed(p: ProbabilityPair, phi: float, n: int) -> ProbabilityPair:
+    """Populations after ``n`` measured segments, by :func:`measured_populations`."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return p
-    contrast = math.cos(2.0 * phi) ** n * (p.p1 - p.p2)
-    return ProbabilityPair(0.5 * (1.0 + contrast), 0.5 * (1.0 - contrast))
+    p1, p2 = measured_populations(p, phi, n)
+    return ProbabilityPair(float(p1), float(p2))
 
 
 def zeno_survival(n: int) -> ProbabilityPair:
@@ -135,8 +88,9 @@ def zeno_survival(n: int) -> ProbabilityPair:
     The drive time is fixed at a half rotation (certain transfer when
     uninterrupted) and the state is read out after each of the ``n``
     segments, i.e. n-1 intermediate readouts plus the final one. Returns
-    the final (survival, transfer) probabilities; survival approaches 1
-    as ``n`` grows, transfer decays like ``pi^2 / 4n``.
+    the final (survival, transfer) probabilities; the transfer is
+    ``(1 - cos^n(pi / n)) / 2`` (Itano et al., PRA 41, 2295, 1990), so
+    survival approaches 1 as ``n`` grows and transfer decays like ``pi^2 / 4n``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

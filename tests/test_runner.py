@@ -292,10 +292,36 @@ class TestRunExperiment:
         config = ExperimentConfig(experiment="zeno", n_kicks=20, omega=1.0, tau=1.0)
         record = run_experiment(config)
         series = record.aggregate
-        expected = measured_evolve_closed(ProbabilityPair(1.0, 0.0), 0.5, 7)
-        assert series.p_m0[7] == pytest.approx(expected.p1, abs=1e-12)
-        assert series.dispersion[7] == pytest.approx(expected.p2, abs=1e-12)
+        for j in range(21):
+            expected = measured_evolve_closed(ProbabilityPair(1.0, 0.0), 0.5, j)
+            assert series.p_m0[j] == expected.p1
+            assert series.dispersion[j] == expected.p2
         assert np.all(series.norm == 1.0)
+
+    @pytest.mark.parametrize("fields", [
+        dict(experiment="zeno", n_kicks=200, omega=0.37, tau=1.3),
+        dict(experiment="kicked", n_kicks=60, window_halfwidth=400, seed=1,
+             measurement_mode="none"),
+    ], ids=["zeno", "preset-a"])
+    def test_run_without_random_input_is_independent_of_realizations(self, fields):
+        csvs = [
+            render_csv(run_experiment(ExperimentConfig(**fields, realizations=r)).aggregate)
+            for r in (1, 2, 3, 20)
+        ]
+        assert csvs[1:] == csvs[:1] * 3
+
+    def test_run_without_readout_is_computed_once(self, monkeypatch):
+        calls = []
+        real_step = runner.step
+
+        def counted_step(*args):
+            calls.append(1)
+            return real_step(*args)
+
+        monkeypatch.setattr(runner, "step", counted_step)
+        record = run_experiment(_small_config(n_kicks=30, measurement_mode="none"))
+        assert len(calls) == 30
+        assert len(record.realization_series) == 3
 
     def test_classical_series_runs(self):
         config = ExperimentConfig(

@@ -1,4 +1,5 @@
-"""Two-level dynamics: coherent rotation, measured hopping, Zeno limit."""
+"""Two-level system read out between segments: the one-segment map, its closed
+form against iteration, the Zeno limit, and the Monte Carlo that converges to it."""
 
 import math
 import sys
@@ -8,91 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenomap import InvalidStateError, ProbabilityPair, zeno_survival
+from zenomap import ProbabilityPair, zeno_survival
 from zenomap.two_level import (
-    TwoLevelState,
-    coherent_evolve,
-    coherent_step,
     measured_evolve_closed,
+    measured_populations,
     measured_probability_step,
     monte_carlo_measured_evolve,
 )
-
-GROUND = TwoLevelState(1.0 + 0j, 0j)
-
-
-class TestCoherentStep:
-    def test_half_pulse_transfers_fully(self):
-        out = coherent_step(GROUND, math.pi / 2)
-        assert abs(out.a1) < 1e-12
-        assert abs(out.a2 - 1j) < 1e-12
-
-    def test_zero_angle_is_identity(self):
-        out = coherent_step(GROUND, 0.0)
-        assert out == GROUND
-
-    def test_two_quarter_pulses_transfer_fully(self):
-        out = coherent_step(coherent_step(GROUND, math.pi / 4), math.pi / 4)
-        assert abs(out.a2) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_norm_preserved(self):
-        state = TwoLevelState(0.6 + 0j, 0.8j)
-        out = coherent_step(state, 0.7)
-        assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_unnormalized_state(self):
-        with pytest.raises(InvalidStateError):
-            coherent_step(TwoLevelState(0.5 + 0j, 0j), 0.3)
-
-
-class TestCoherentEvolve:
-    def test_quarter_angle_four_times(self):
-        out = coherent_evolve(GROUND, math.pi / 8, 4)
-        assert abs(out.a1) < 1e-12
-        assert abs(out.a2 - 1j) < 1e-12
-
-    def test_n_zero_is_identity(self):
-        assert coherent_evolve(GROUND, 1.234, 0) == GROUND
-
-    def test_matches_repeated_steps(self):
-        # oracle: explicit repeated application of the one-segment rotation
-        closed = coherent_evolve(GROUND, math.pi / 6, 2)
-        iterated = coherent_step(coherent_step(GROUND, math.pi / 6), math.pi / 6)
-        assert abs(closed.a1 - iterated.a1) < 1e-12
-        assert abs(closed.a2 - iterated.a2) < 1e-12
-
-    def test_rejects_negative_n(self):
-        with pytest.raises(ValueError):
-            coherent_evolve(GROUND, 0.1, -1)
-
-    @given(
-        phi=st.floats(-2 * math.pi, 2 * math.pi),
-        n=st.integers(min_value=0, max_value=200),
-    )
-    @settings(max_examples=60)
-    def test_closed_form_tracks_iteration(self, phi, n):
-        state = GROUND
-        for _ in range(n):
-            state = coherent_step(state, phi)
-        closed = coherent_evolve(GROUND, phi, n)
-        assert abs(closed.a1 - state.a1) < 1e-10
-        assert abs(closed.a2 - state.a2) < 1e-10
-
-    @given(
-        phi=st.floats(-2 * math.pi, 2 * math.pi),
-        n=st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=40)
-    def test_propagator_power_is_unitary(self, phi, n):
-        angle = n * phi
-        u = np.array(
-            [
-                [math.cos(angle), 1j * math.sin(angle)],
-                [1j * math.sin(angle), math.cos(angle)],
-            ]
-        )
-        assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-
 
 class TestMeasuredStep:
     def test_quarter_angle_equalizes(self):
@@ -166,6 +89,15 @@ class TestMeasuredEvolveClosed:
             p = measured_probability_step(p, phi)
         closed = measured_evolve_closed(start, phi, n)
         assert abs(closed.p1 - p.p1) < 1e-12
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 8, 0.3, 1.1, -2.7])
+    def test_populations_of_a_kick_array_are_the_closed_form_bit_for_bit(self, phi):
+        start = ProbabilityPair(0.75, 0.25)
+        n = np.arange(1, 300)
+        p1, p2 = measured_populations(start, phi, n)
+        closed = [measured_evolve_closed(start, phi, int(i)) for i in n]
+        assert p1.tolist() == [c.p1 for c in closed]
+        assert p2.tolist() == [c.p2 for c in closed]
 
     @given(phi=st.floats(-10.0, 10.0))
     @settings(max_examples=60)
@@ -312,8 +244,3 @@ class TestTypes:
     def test_probability_pair_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ProbabilityPair(1.4, -0.4)
-
-    def test_state_probabilities(self):
-        probs = TwoLevelState(0.6 + 0j, 0.8j).probabilities()
-        assert probs.p1 == pytest.approx(0.36, abs=1e-12)
-        assert probs.p2 == pytest.approx(0.64, abs=1e-12)
