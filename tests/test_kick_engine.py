@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -64,12 +67,34 @@ class TestBuildKernel:
             mirrored = kernel.coefficients[-d + kernel.d_max]
             assert mirrored == pytest.approx((-1.0) ** d * reference, rel=1e-10, abs=1e-15)
 
+    @pytest.mark.parametrize("k", [0.5, 5.0, 10.0, 100.0, 1000.0])
+    def test_coefficients_within_1e15_of_30_digit_values(self, k):
+        kernel = build_kernel(k)
+        d_max = kernel.d_max
+        stride = 1 if k <= 10 else (4 if k <= 100 else 16)
+        orders = sorted(set(range(0, d_max + 1, stride)) | {d_max})
+        with mpmath.workdps(30):
+            for d in orders:
+                reference = mpmath.besselj(d, k)
+                for order, sign in ((d, 1), (-d, (-1) ** d)):
+                    value = mpmath.mpf(float(kernel.coefficients[order + d_max]))
+                    assert abs(value - sign * reference) <= 1e-15, (k, order)
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 5.0, 10.0, 20.0, 100.0, 1000.0])
+    def test_squared_coefficients_sum_to_one(self, k):
+        # the kernel's recurrence runs in np.longdouble; where that is only
+        # float64 it keeps about one digit less (3.8e-15 measured at k = 1000)
+        extended = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+        coefficients = build_kernel(k).coefficients
+        assert abs(math.fsum(coefficients * coefficients) - 1.0) <= (2.3e-16 if extended else 1e-14)
+
     def test_bandwidth_is_minimal(self):
         mpmath.mp.dps = 50
-        kernel = build_kernel(10.0)
         eps = _KERNEL_EPS
-        assert abs(float(mpmath.besselj(kernel.d_max, 10.0))) >= eps
-        assert abs(float(mpmath.besselj(kernel.d_max + 1, 10.0))) < eps
+        for k in (1.0, 10.0, 37.3, 100.0):
+            kernel = build_kernel(k)
+            assert abs(float(mpmath.besselj(kernel.d_max, k))) >= eps, k
+            assert abs(float(mpmath.besselj(kernel.d_max + 1, k))) < eps, k
 
     @pytest.mark.parametrize("k", np.geomspace(1e-3, 1e4, 29))
     def test_bandwidth_reaches_k(self, k):
@@ -80,6 +105,17 @@ class TestBuildKernel:
     def test_rejects_negative_strength(self):
         with pytest.raises(ValueError):
             build_kernel(-1.0)
+
+    def test_runtime_imports_no_scipy(self):
+        code = (
+            "import sys, zenomap, zenomap.cli, zenomap.runner; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_one_shared_read_only_kernel_per_strength(self):
         kernel = build_kernel(10.0)
