@@ -22,8 +22,15 @@ operation works on that slice only. A kick widens the support by the kernel
 bandwidth ``d_max`` on each side (clipped to the window), then drops each
 end band of ``d_max`` bins whose probability is below ``_SLICE_EPS``
 (1e-30), zeroing it; a kick thus discards at most ``2 * _SLICE_EPS`` of
-norm. On a support that spans the whole window the kick is the plain
-``"same"``-mode convolution, bit for bit.
+norm.
+
+A narrow slice is convolved by ``np.convolve``. A slice of at least
+``_BLOCKED_MIN_BINS`` bins is cut into blocks of ``q`` bins, and the kick
+becomes two products of those blocks with banded Toeplitz matrices built
+from the weights, which BLAS computes several times faster. The two agree
+to within a few units of roundoff (below 2e-16 absolute on a unit-norm
+state); every output bin that takes a single nonzero product, as after a
+kick of a one-bin state, is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -47,6 +54,14 @@ _RESCALE = 1e250
 # A kick zeroes an end band of its support that carries less probability
 # than this and shrinks the support past it.
 _SLICE_EPS = 1e-30
+# A kick convolves a slice at least this wide as a blocked matrix product;
+# for k from 0.5 to 30 the two ways tie between 256 and 384 bins.
+_BLOCKED_MIN_BINS = 320
+# Blocks are this many bins, or the kernel span 2 d_max if that is more.
+_BLOCK = 64
+# A kernel whose blocks would be wider than this (d_max > 64, k above about
+# 32) keeps np.convolve at any width, so its Toeplitz matrix stays small.
+_MAX_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -187,6 +202,26 @@ class KickKernel:
     def offsets(self) -> np.ndarray:
         return np.arange(-self.d_max, self.d_max + 1)
 
+    @cached_property
+    def toeplitz(self) -> np.ndarray | None:
+        """The banded matrix of the blocked kick, read-only, built at first use;
+        None for a kernel wider than ``_MAX_BLOCK``.
+
+        ``T[j, i] = c[i + 2 d_max - j]`` where that index lies in the kernel,
+        and 0 elsewhere, for ``2 d_max + q`` rows and ``q = max(_BLOCK,
+        2 d_max)`` columns. Its last ``q`` rows map a block onto itself, its
+        first ``2 d_max`` rows map the end of the block before onto it.
+        """
+        span = self.coefficients.size - 1
+        q = max(_BLOCK, span)
+        if q > _MAX_BLOCK:
+            return None
+        lags = np.arange(q) - np.arange(span + q)[:, None] + span
+        inside = (lags >= 0) & (lags <= span)
+        matrix = np.where(inside, self.coefficients[np.clip(lags, 0, span)], 0.0)
+        matrix.flags.writeable = False
+        return matrix
+
 
 def _bessel_orders(k: float, n: int) -> np.ndarray:
     """``J_0(k), ..., J_n(k)`` as float64, by Miller's backward recurrence.
@@ -299,30 +334,62 @@ def apply_kick(state: QuantumState, kernel: KickKernel) -> QuantumState:
     non-negligible, since the kick could carry that much out of the window.
     """
     _check_kick(state, kernel)
-    out, support = _convolve(state.amplitudes, state.support, kernel.coefficients)
+    out, support = _convolve(state.amplitudes, state.support, kernel)
     return QuantumState(state.window, out, state.time_index, support)
 
 
+def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of ``np.convolve(a, coefficients)`` as
+    matrix products with :attr:`KickKernel.toeplitz`.
+
+    Each part is padded with zeros and cut into ``rows`` blocks of ``q``
+    bins, and the two stacked as ``2 * rows`` rows. Every block's own share
+    of its output block is one product with the last ``q`` rows of the
+    matrix; the end of the block before adds its share through the first
+    ``2 d_max`` rows. The padding leaves at least ``2 d_max`` zeros at the
+    end of the last real block, so nothing spills into the first imaginary
+    block.
+    """
+    q = toeplitz.shape[1]
+    span = toeplitz.shape[0] - q
+    n = a.size
+    rows = -(-(n + span) // q)
+    x = np.zeros((2 * rows, q))
+    flat = x.reshape(-1)
+    flat[:n] = a.real
+    flat[rows * q:rows * q + n] = a.imag
+    y = x @ toeplitz[span:]
+    y[1:] += x[:-1, q - span:] @ toeplitz[:span]
+    flat = y.reshape(-1)
+    return flat[:n + span], flat[rows * q:rows * q + n + span]
+
+
 def _convolve(
-    amplitudes: np.ndarray, support: tuple[int, int], coefficients: np.ndarray
+    amplitudes: np.ndarray, support: tuple[int, int], kernel: KickKernel
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Kick the amplitudes on ``support``; returns them with their new support.
 
     The full convolution of the support slice covers ``d_max`` more bins on
-    each side; on the whole window its middle is ``np.convolve(...,
-    mode="same")`` bit for bit. A slice clipped at a window edge may be
-    shorter than the kernel, where ``"same"`` mode would return the kernel's
-    length, so the full mode is taken and clipped here. End bands of
-    ``d_max`` bins below ``_SLICE_EPS`` are then zeroed and dropped.
+    each side. A slice clipped at a window edge may be shorter than the
+    kernel, where ``"same"`` mode would return the kernel's length, so the
+    full mode is taken and clipped here. End bands of ``d_max`` bins below
+    ``_SLICE_EPS`` are then zeroed and dropped.
     """
+    coefficients = kernel.coefficients
     d_max = coefficients.size // 2
     lo, hi = support
     size = amplitudes.size
     start, stop = max(lo - d_max, 0), min(hi + d_max, size)
     out = _zero_outside(size, (start, stop))
-    full = np.convolve(amplitudes[lo:hi], coefficients)
     shift = lo - d_max
-    out[start:stop] = full[start - shift:stop - shift]
+    toeplitz = kernel.toeplitz if hi - lo >= _BLOCKED_MIN_BINS else None
+    if toeplitz is None:
+        full = np.convolve(amplitudes[lo:hi], coefficients)
+        out[start:stop] = full[start - shift:stop - shift]
+    else:
+        real, imag = _blocked_convolve(amplitudes[lo:hi], toeplitz)
+        out.real[start:stop] = real[start - shift:stop - shift]
+        out.imag[start:stop] = imag[start - shift:stop - shift]
     if stop - start > d_max:
         band = out[start:start + d_max]
         if np.vdot(band, band).real < _SLICE_EPS:
@@ -415,5 +482,5 @@ def adjoint_step(
         raise ValueError("spectrum phase table does not cover the state's window")
     _check_kick(state, kernel)
     undone = _times(state, np.conj(spectrum.multiplier))
-    out, support = _convolve(undone, state.support, kernel.coefficients[::-1])
+    out, support = _convolve(undone, state.support, KickKernel(kernel.coefficients[::-1]))
     return QuantumState(state.window, out, state.time_index - 1, support)

@@ -85,8 +85,14 @@ class PhaseRandomizer:
         self._rng = np.random.Generator(np.random.PCG64(seq))
 
     def phases(self, count: int) -> np.ndarray:
-        """Next ``count`` phases, i.i.d. uniform on [0, 2*pi)."""
-        return self._rng.uniform(0.0, 2.0 * np.pi, count)
+        """Next ``count`` phases, i.i.d. uniform on [0, 2*pi).
+
+        The same draws as ``uniform(0, 2*pi, count)``, bit for bit, since that
+        computes ``0 + 2*pi * u``; scaling ``random(count)`` in place is cheaper.
+        """
+        draws = self._rng.random(count)
+        draws *= 2.0 * np.pi
+        return draws
 
 
 def _phase_factors(betas: np.ndarray) -> np.ndarray:

@@ -35,15 +35,16 @@ def thread_budget() -> int:
     return threads
 
 
-def map_ordered(fn: Callable[[int], T], count: int) -> list[T]:
-    """``[fn(0), ..., fn(count - 1)]``, on up to :func:`thread_budget` threads.
+def map_ordered(fn: Callable[[int], T], count: int, max_threads: int | None = None) -> list[T]:
+    """``[fn(0), ..., fn(count - 1)]``, on up to :func:`thread_budget` threads,
+    or ``max_threads`` if that is fewer; the budget is checked either way.
 
     With one usable thread (or one piece) no pool is started. When a piece
     raises, the pieces not yet started are cancelled and the error of the
     lowest failing index is raised, as in a serial run: pieces start in index
     order, so every piece before a failed one runs to its end.
     """
-    workers = min(thread_budget(), count)
+    workers = min(thread_budget(), count, max_threads or count)
     if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -16,10 +16,14 @@ of the system, built once per run and shared read-only by every realization,
 which owns only its phase stream, state and output arrays. A run without
 random input (a zeno run, or a kicked run whose ``measurement_mode`` is
 ``none``) is computed once: every realization is that one series, and so is
-the aggregate, whatever ``realizations`` is. Realizations may evolve on a
-thread pool capped by the ``ZENO_MAP_THREADS`` environment variable
-(default: the CPUs the process may run on); results are aggregated in
-realization order, so output bytes do not depend on the thread count.
+the aggregate, whatever ``realizations`` is. Classical realizations may
+evolve on a thread pool capped by the ``ZENO_MAP_THREADS`` environment
+variable (default: the CPUs the process may run on). Kicked realizations run
+one after another on the calling thread: each kick makes dozens of small
+numpy calls, and their hand-offs of the GIL make a second thread slower than
+one. ``ZENO_MAP_THREADS`` is checked on every run all the same. Results are
+aggregated in realization order, so output bytes do not depend on the thread
+count.
 """
 
 from __future__ import annotations
@@ -350,10 +354,14 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Execute every realization of ``config`` and aggregate the series.
 
     Deterministic given (config, seed): identical inputs produce identical
-    records regardless of the thread budget.
+    records regardless of the thread budget. Kicked realizations run serially
+    (see the module docstring).
     """
     t0 = time.perf_counter()
-    series = map_ordered(_SIMULATORS[config.experiment](config), config.realizations)
+    series = map_ordered(
+        _SIMULATORS[config.experiment](config), config.realizations,
+        max_threads=1 if config.experiment == "kicked" else None,
+    )
     # A run without random input hands every realization the same series; that
     # series is the aggregate, since a mean of copies would move its last bits.
     same = all(s is series[0] for s in series)

@@ -46,6 +46,12 @@ class TestRunCommand:
     def test_svg_without_path_is_config_error(self, config_file):
         assert main(["run", str(config_file), "--svg"]) == 2
 
+    @pytest.mark.parametrize("threads", ["zero", "0"])
+    def test_invalid_thread_budget_is_config_error(self, config_file, monkeypatch, threads):
+        # Kicked realizations run serially, but the budget is still checked.
+        monkeypatch.setenv("ZENO_MAP_THREADS", threads)
+        assert main(["run", str(config_file), "--preset", "d"]) == 2
+
     def test_preset_run_builds_the_kernel_once(self, tmp_path):
         # Document, preset, overrides and three realizations share one kernel.
         path = tmp_path / "run.cfg"

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenomap.kick_engine as kick_engine
 from zenomap import (
     BasisWindow,
     QuantumState,
@@ -22,9 +23,11 @@ from zenomap import (
     step,
 )
 from zenomap.kick_engine import (
+    _BLOCKED_MIN_BINS,
     _KERNEL_EPS,
     _SLICE_EPS,
     KickKernel,
+    _convolve,
     adjoint_step,
     apply_free,
     apply_kick,
@@ -206,6 +209,67 @@ class TestApplyKick:
         out_a = apply_kick(QuantumState.delta(BasisWindow.centered(500, 120)), kernel10)
         out_b = apply_kick(QuantumState.delta(BasisWindow.centered(-137, 120)), kernel10)
         assert np.array_equal(out_a.amplitudes, out_b.amplitudes)
+
+
+class TestBlockedKick:
+    @pytest.mark.parametrize("k", [0.5, 3.0, 10.0, 37.3])
+    def test_agrees_with_np_convolve(self, k, monkeypatch):
+        blocked = []
+        real = kick_engine._blocked_convolve
+
+        def spied(*args):
+            blocked.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(kick_engine, "_blocked_convolve", spied)
+        kernel = build_kernel(k)
+        d_max, size = kernel.d_max, 1201
+        rng = np.random.default_rng(int(10 * k))
+        wide = 0
+        for width in [1, 100, _BLOCKED_MIN_BINS - 1, _BLOCKED_MIN_BINS, 513, 1024, size]:
+            for lo in sorted({0, (size - width) // 2, size - width}):
+                hi = lo + width
+                amps = np.zeros(size, complex)
+                amps[lo:hi] = rng.normal(size=width) + 1j * rng.normal(size=width)
+                amps /= np.linalg.norm(amps)
+                out, support = _convolve(amps, (lo, hi), kernel)
+                start, stop = max(lo - d_max, 0), min(hi + d_max, size)
+                expected = np.zeros(size, complex)
+                shift = lo - d_max
+                expected[start:stop] = np.convolve(amps[lo:hi], kernel.coefficients)[
+                    start - shift:stop - shift
+                ]
+                assert support == (start, stop)
+                assert np.max(np.abs(out - expected)) <= 1e-15
+                wide += width >= _BLOCKED_MIN_BINS
+        # a kernel without blocks (d_max > 64) keeps np.convolve at any width
+        assert len(blocked) == (0 if kernel.toeplitz is None else wide)
+
+    def test_toeplitz_is_built_at_first_use_and_read_only(self):
+        kernel = build_kernel(7.25)
+        assert "toeplitz" not in vars(kernel)  # building the kernel does not build it
+        matrix = kernel.toeplitz
+        assert kernel.toeplitz is matrix
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+        span, q = 2 * kernel.d_max, matrix.shape[1]
+        assert matrix.shape == (span + q, q)
+        # the first bin of a block spreads over the block as the kernel does
+        assert np.array_equal(matrix[span, :span + 1], kernel.coefficients)
+        assert np.all(matrix[span, span + 1:] == 0.0)
+        assert build_kernel(37.3).toeplitz is None
+
+    def test_wide_translation_covariance(self, kernel10):
+        # A state of 301 nonzero bins, kicked at two places of a wide support.
+        rng = np.random.default_rng(4)
+        block = rng.normal(size=301) + 1j * rng.normal(size=301)
+        outs = []
+        for lo in (200, 437):
+            amps = np.zeros(1201, complex)
+            amps[lo:lo + 301] = block
+            out, support = _convolve(amps, (lo - 50, lo + 351), kernel10)
+            outs.append(out[support[0]:support[1]])
+        assert np.array_equal(outs[0], outs[1])
 
 
 class TestApplyFree:

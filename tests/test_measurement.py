@@ -194,6 +194,13 @@ class TestPhaseRandomizer:
         b = PhaseRandomizer(11, 1).phases(100)
         assert not np.array_equal(a, b)
 
+    def test_phases_are_the_draws_of_uniform(self):
+        seq = np.random.SeedSequence(11, spawn_key=(0, 2))
+        reference = np.random.Generator(np.random.PCG64(seq))
+        rng = PhaseRandomizer(11, 2)
+        for count in (4001, 1, 7):
+            assert np.array_equal(rng.phases(count), reference.uniform(0.0, 2 * np.pi, count))
+
     def test_phases_in_range(self):
         draws = PhaseRandomizer(12).phases(10_000)
         assert np.all(draws >= 0.0)

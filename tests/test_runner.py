@@ -268,8 +268,32 @@ class TestRunExperiment:
         monkeypatch.delenv("ZENO_MAP_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
+        # classical realizations, since kicked ones never start a pool
+        config = ExperimentConfig("classical", n_kicks=5, particles=50, realizations=3)
+        record = run_experiment(config)
+        assert len(record.realization_series) == 3
+
+    def test_kicked_realizations_run_on_the_calling_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a kicked run started a thread pool")
+
+        monkeypatch.setenv("ZENO_MAP_THREADS", "2")
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
         record = run_experiment(_small_config(n_kicks=5))
         assert len(record.realization_series) == 3
+
+    def test_classical_realizations_share_the_thread_budget(self, monkeypatch):
+        started = []
+        real_pool = pool.ThreadPoolExecutor
+
+        def counted_pool(max_workers):
+            started.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setenv("ZENO_MAP_THREADS", "2")
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", counted_pool)
+        run_experiment(ExperimentConfig("classical", n_kicks=5, particles=50, realizations=3))
+        assert started == [2]
 
     def test_invalid_thread_budget_rejected(self, monkeypatch):
         monkeypatch.setenv("ZENO_MAP_THREADS", "zero")
