@@ -16,6 +16,12 @@ One protocol: every particle starts at action ``I0`` with an angle drawn
 uniformly by ``ClassicalEnsemble.prepared`` from its ``seed``, and
 ``ensemble_series`` evolves those angles. ``classical_step`` is the scalar
 map the array map is tested against.
+
+Each step wraps the angles into [0, 2*pi). When every angle is finite and in
+[0, 2**20 * 2*pi), ``_wrap_angles`` subtracts ``n * 2*pi`` by an exact
+two-constant reduction, bit for bit as ``np.mod`` would wrap them; all other
+angles go through ``np.mod``, with its values and warnings. Classical outputs
+are byte-identical to those of earlier versions.
 """
 
 from __future__ import annotations
@@ -34,6 +40,13 @@ K_CRITICAL = 0.9816
 
 _SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 _TWO_PI = 2.0 * math.pi
+# 2*pi split as HI + LO: HI keeps the top 33 of its 53 significand bits and
+# LO holds the 20 cleared ones, so n * HI and n * LO are exact for integers
+# n <= 2**20.
+_TWO_PI_HI = float.fromhex("0x1.921fb544p+2")
+_TWO_PI_LO = _TWO_PI - _TWO_PI_HI
+_INV_TWO_PI = 1.0 / _TWO_PI
+_WRAP_LIMIT = 2.0**20 * _TWO_PI_HI
 
 
 @dataclass(frozen=True)
@@ -89,10 +102,46 @@ def classical_step(p: ClassicalParticle, k: float, tau: float) -> ClassicalParti
     return ClassicalParticle(action, angle)
 
 
-def _step_arrays(actions: np.ndarray, angles: np.ndarray, k: float, tau: float) -> None:
-    actions += k * np.sin(angles)
-    angles += tau * actions
-    np.mod(angles, _TWO_PI, out=angles)
+def _wrap_angles(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """Wrap ``angles`` into [0, 2*pi) in place and return them, bit for bit
+    as ``np.mod(angles, 2*pi)`` would; ``work`` is scratch of shape
+    ``(2, angles.size)``.
+
+    When every angle is finite and in [0, 2**20 * HI), the remainder is
+    ``(x - n*HI) - n*LO`` with ``n = floor(x * (1 / 2*pi))``: every product and
+    difference is exact, so it is exactly ``x - n * 2*pi``. ``_INV_TWO_PI``
+    lies above ``1 / _TWO_PI``, so ``n`` is never too small; rounding can
+    make it one too large, which leaves a negative remainder that one exact
+    addition of 2*pi mends. Any other array goes through ``np.mod``, with its
+    values and warnings.
+    """
+    if not (angles.min() >= 0.0 and angles.max() < _WRAP_LIMIT):  # a nan fails too
+        return np.mod(angles, _TWO_PI, out=angles)
+    if work is None:
+        work = np.empty((2, angles.size))
+    n, product = work
+    np.multiply(angles, _INV_TWO_PI, out=n)
+    np.floor(n, out=n)
+    np.multiply(n, _TWO_PI_HI, out=product)
+    angles -= product
+    np.multiply(n, _TWO_PI_LO, out=product)
+    angles -= product
+    if angles.min() < 0.0:
+        np.add(angles, _TWO_PI, out=angles, where=angles < 0.0)
+    return angles
+
+
+def _step_arrays(
+    actions: np.ndarray, angles: np.ndarray, k: float, tau: float, work: np.ndarray
+) -> None:
+    """One map step in place; ``work`` is scratch of shape ``(2, n)``."""
+    kick = work[0]
+    np.sin(angles, out=kick)
+    kick *= k
+    actions += kick
+    np.multiply(actions, tau, out=kick)
+    angles += kick
+    _wrap_angles(angles, work)
 
 
 def ensemble_diffusion(ensemble: ClassicalEnsemble, steps: int) -> float:
@@ -124,13 +173,17 @@ def ensemble_series(ensemble: ClassicalEnsemble, steps: int) -> DispersionSeries
     angles = ensemble.particles.copy()
     n = angles.size
     actions = np.full(n, float(ensemble.I0))
+    work = np.empty((2, n))
+    spread = np.empty(n)
     j = np.arange(steps + 1)
     dispersion = np.zeros(steps + 1)
     p_home = np.zeros(steps + 1)
     for t in range(steps + 1):
         if t:
-            _step_arrays(actions, angles, ensemble.k, ensemble.tau)
-        spread = actions - ensemble.I0
-        dispersion[t] = np.mean(spread * spread)
-        p_home[t] = np.count_nonzero(np.abs(spread) <= 0.5) / n
+            _step_arrays(actions, angles, ensemble.k, ensemble.tau, work)
+        np.subtract(actions, ensemble.I0, out=spread)
+        np.multiply(spread, spread, out=work[0])
+        dispersion[t] = np.mean(work[0])
+        np.abs(spread, out=spread)
+        p_home[t] = np.count_nonzero(spread <= 0.5) / n
     return DispersionSeries(j, dispersion, np.ones(steps + 1), p_home)

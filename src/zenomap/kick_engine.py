@@ -114,7 +114,7 @@ class BasisWindow:
         return cls(m0 - halfwidth, m0 + halfwidth, m0)
 
 
-@dataclass
+@dataclass(eq=False)
 class QuantumState:
     """Complex amplitude vector over a :class:`BasisWindow`.
 
@@ -189,7 +189,7 @@ def _times(state: QuantumState, factors: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KickKernel:
     """Real convolution weights ``J_d(k)`` for momentum transfers ``|d| <= d_max``."""
 
@@ -403,7 +403,7 @@ def _convolve(
     return out, (start, stop)
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumModel:
     """Free-flight phase advance per basis state, fixed for a whole run.
 

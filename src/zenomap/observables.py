@@ -23,7 +23,7 @@ _MIN_BINS_PER_SIDE = 20
 _SLOPE_RATIO = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionSeries:
     """Per-kick record of dispersion, total norm, and initial-state occupation."""
 

@@ -330,7 +330,7 @@ def parse_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # execution
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     """Everything one run produced."""
 

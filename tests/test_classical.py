@@ -1,17 +1,48 @@
 """Standard-map ensemble: map properties and the diffusion estimator."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from zenomap import ClassicalEnsemble, ensemble_diffusion
 from zenomap.classical import (
+    _INV_TWO_PI,
+    _TWO_PI,
+    _WRAP_LIMIT,
     ClassicalParticle,
     K_CRITICAL,
+    _wrap_angles,
     classical_step,
     ensemble_series,
 )
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def _assert_wraps_like_mod(x: np.ndarray) -> None:
+    assert np.array_equal(_bits(_wrap_angles(x.copy())), _bits(np.mod(x, _TWO_PI)))
+
+
+def _reference_series(ensemble: ClassicalEnsemble, steps: int) -> np.ndarray:
+    """Rows ``(dispersion, p_m0)`` from the plain map loop, wrapped by ``np.mod``."""
+    angles = ensemble.particles.copy()
+    actions = np.full(angles.size, float(ensemble.I0))
+    rows = []
+    for t in range(steps + 1):
+        if t:
+            actions += ensemble.k * np.sin(angles)
+            angles += ensemble.tau * actions
+            np.mod(angles, _TWO_PI, out=angles)
+        spread = actions - ensemble.I0
+        rows.append(
+            (np.mean(spread * spread), np.count_nonzero(np.abs(spread) <= 0.5) / angles.size)
+        )
+    return np.array(rows).T
 
 
 class TestClassicalStep:
@@ -139,3 +170,62 @@ class TestEnsembleSeries:
         assert series.dispersion[0] == 0.0
         assert series.p_m0[0] == 1.0
         assert np.all(series.norm == 1.0)
+
+
+class TestWrapAngles:
+    def test_uniform_angles_over_the_fast_range(self):
+        rng = np.random.default_rng(21)
+        _assert_wraps_like_mod(rng.uniform(0.0, _WRAP_LIMIT, 200_000))
+        _assert_wraps_like_mod(rng.uniform(0.0, 2000.0, 200_000))
+
+    def test_near_multiples_of_two_pi(self):
+        k = np.random.default_rng(22).integers(1, 2**20, 20_000).astype(float)
+        base = k * _TWO_PI
+        below = np.nextafter(base, 0.0)
+        above = np.nextafter(base, np.inf)
+        near = [base, below, np.nextafter(below, 0.0), above, np.nextafter(above, np.inf)]
+        _assert_wraps_like_mod(np.concatenate(near))
+
+    def test_edges_of_the_fast_range(self):
+        _assert_wraps_like_mod(np.array([np.nextafter(_WRAP_LIMIT, 0.0)]))
+        _assert_wraps_like_mod(np.array([_WRAP_LIMIT]))
+        _assert_wraps_like_mod(np.array([np.nextafter(_WRAP_LIMIT, 0.0), _WRAP_LIMIT]))
+
+    def test_zeros_subnormals_and_two_pi(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        _assert_wraps_like_mod(
+            np.array([0.0, -0.0, tiny, 1e-310, np.finfo(np.float64).tiny, _TWO_PI,
+                      np.nextafter(_TWO_PI, 0.0), np.nextafter(_TWO_PI, 7.0)])
+        )
+
+    def test_floor_of_the_quotient_is_never_too_small(self):
+        # so the wrap mends only a negative remainder
+        assert Fraction(_INV_TWO_PI) > 1 / Fraction(_TWO_PI)
+
+    @pytest.mark.parametrize(
+        "angles",
+        [[1.0, -3.0], [1.0, 1e308], [1.0, np.inf], [-np.inf, 1.0], [np.nan, 1.0]],
+        ids=["negative", "huge", "inf", "minus_inf", "nan"],
+    )
+    def test_other_angles_go_through_mod_with_its_warnings(self, angles):
+        x = np.array(angles)
+        with warnings.catch_warnings(record=True) as wrapped:
+            warnings.simplefilter("always")
+            got = _wrap_angles(x.copy())
+        with warnings.catch_warnings(record=True) as reference:
+            warnings.simplefilter("always")
+            expected = np.mod(x, _TWO_PI)
+        assert np.array_equal(_bits(got), _bits(expected))
+        assert [(w.category, str(w.message)) for w in wrapped] == [
+            (w.category, str(w.message)) for w in reference
+        ]
+
+    @pytest.mark.parametrize("I0", [500.0, 0.0, 1e7], ids=["fast", "negative", "past_gate"])
+    def test_series_matches_the_mod_loop(self, I0):
+        ensemble = ClassicalEnsemble.prepared(2000, I0, 1.0, 10.0, seed=4)
+        series = ensemble_series(ensemble, 60)
+        dispersion, p_home = _reference_series(ensemble, 60)
+        assert np.array_equal(series.j, np.arange(61))
+        assert np.array_equal(series.dispersion, dispersion)
+        assert np.array_equal(series.norm, np.ones(61))
+        assert np.array_equal(series.p_m0, p_home)

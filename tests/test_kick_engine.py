@@ -440,6 +440,27 @@ class TestTypes:
         with pytest.raises(ValueError):
             spectrum.multiplier[0] = 1.0
 
+    def test_states_compare_by_identity_and_windows_by_value(self):
+        a = QuantumState.delta(BasisWindow.centered(7, 10))
+        b = QuantumState.delta(BasisWindow.centered(7, 10))
+        assert a == a
+        assert a != b
+        assert a.window == b.window
+        assert len({a, b, a}) == 2
+
+    def test_kernels_compare_and_hash_by_identity(self):
+        assert build_kernel(1.0) != build_kernel(2.0)
+        assert hash(build_kernel(1.0)) == hash(build_kernel(1.0))  # memoized
+        assert KickKernel(np.ones(3)) != KickKernel(np.ones(3))
+
+    def test_spectra_compare_by_identity(self):
+        window = BasisWindow.centered(500, 100)
+        a = SpectrumModel.rotator(window, tau=1.0)
+        b = SpectrumModel.rotator(window, tau=1.0)
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
+
 
 def _reference_series(config: ExperimentConfig) -> np.ndarray:
     """Rows ``(dispersion, norm, p_m0)`` of realization 0 of ``config``,

@@ -217,3 +217,10 @@ class TestSeriesValidation:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             DispersionSeries([], [], [], [])
+
+    def test_series_compare_and_hash_by_identity(self):
+        a = DispersionSeries([0, 1], [0.0, 2.0], [1.0, 1.0], [1.0, 0.5])
+        b = DispersionSeries([0, 1], [0.0, 2.0], [1.0, 1.0], [1.0, 0.5])
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2

@@ -244,6 +244,14 @@ class TestRunExperiment:
         b = run_experiment(_small_config())
         assert render_csv(a.aggregate) == render_csv(b.aggregate)
 
+    def test_records_compare_and_hash_by_identity(self):
+        a = run_experiment(_small_config(n_kicks=5))
+        b = run_experiment(_small_config(n_kicks=5))
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
+        assert a.config == b.config
+
     def test_realizations_differ_but_aggregate_is_their_mean(self):
         record = run_experiment(_small_config())
         assert len(record.realization_series) == 3
@@ -254,11 +262,20 @@ class TestRunExperiment:
         stacked = np.mean([s.dispersion for s in record.realization_series], axis=0)
         assert np.array_equal(record.aggregate.dispersion, stacked)
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "config",
+        [
+            _small_config(),
+            # classical realizations run on the pool, each with its own buffers
+            ExperimentConfig("classical", particles=300, n_kicks=30, realizations=5),
+        ],
+        ids=["kicked", "classical"],
+    )
+    def test_thread_count_does_not_change_output(self, monkeypatch, config):
         monkeypatch.setenv("ZENO_MAP_THREADS", "1")
-        serial = run_experiment(_small_config())
+        serial = run_experiment(config)
         monkeypatch.setenv("ZENO_MAP_THREADS", "4")
-        threaded = run_experiment(_small_config())
+        threaded = run_experiment(config)
         assert render_csv(serial.aggregate) == render_csv(threaded.aggregate)
 
     def test_default_thread_budget_follows_cpu_affinity(self, monkeypatch):
