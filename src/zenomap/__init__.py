@@ -18,6 +18,7 @@ __version__ = "0.1.0"
 from .classical import ClassicalEnsemble, ensemble_diffusion
 from .errors import (
     ConfigError,
+    LostKickError,
     NoLocalizationError,
     NonFiniteError,
     NormDriftError,
@@ -38,7 +39,7 @@ __all__ = [
     "__version__",
     # errors
     "ZenomapError", "TruncationOverflowError",
-    "NoLocalizationError", "NormDriftError", "NonFiniteError", "ConfigError",
+    "NoLocalizationError", "NormDriftError", "NonFiniteError", "LostKickError", "ConfigError",
     # kicked ladder
     "BasisWindow", "QuantumState", "SpectrumModel", "build_kernel", "step",
     "dispersion", "time_averaged_profile", "fit_localization_length",

@@ -33,6 +33,7 @@ from typing import Union
 
 import numpy as np
 
+from .errors import LostKickError
 from .observables import DispersionSeries
 
 # Chaos threshold of the standard map, K = tau * k.
@@ -166,13 +167,21 @@ def ensemble_series(ensemble: ClassicalEnsemble, steps: int) -> DispersionSeries
 
     Evolves a copy of the stored angles from action ``I0``. Entries are
     ``(j, <(I - I0)^2>, 1.0, fraction within half a cell of I0)`` so
-    classical curves drop into the same CSV schema and charts.
+    classical curves drop into the same CSV schema and charts. Raises
+    :class:`LostKickError` when ``k > 0`` but ``I0 + k`` and ``I0 - k`` both
+    round to ``I0``: rounding is monotone, so then no kick can move an action.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    I0, k = float(ensemble.I0), ensemble.k
+    if k > 0 and I0 + k == I0 and I0 - k == I0:
+        raise LostKickError(
+            f"the kick k = {k:g} is below the rounding of the action I0 = {I0:g}, "
+            "so no action can change"
+        )
     angles = ensemble.particles.copy()
     n = angles.size
-    actions = np.full(n, float(ensemble.I0))
+    actions = np.full(n, I0)
     work = np.empty((2, n))
     spread = np.empty(n)
     j = np.arange(steps + 1)

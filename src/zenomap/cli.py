@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(probability came within one kick of the window edge, the norm drifted, or a
-series value is not finite), 4 I/O error.
+(probability came within one kick of the window edge, the norm drifted, a
+series value is not finite, or a classical kick is below the rounding of the
+action), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ from typing import Optional, Sequence
 
 from .chart import emit_chart
 from .classical import ClassicalEnsemble, ensemble_diffusion
-from .errors import ConfigError, NonFiniteError, NormDriftError, TruncationOverflowError
+from .errors import (
+    ConfigError,
+    LostKickError,
+    NonFiniteError,
+    NormDriftError,
+    TruncationOverflowError,
+)
 from .runner import (
     CONFIG_KEYS,
     PRESETS,
@@ -178,7 +185,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, argparse.ArgumentError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TruncationOverflowError, NormDriftError, NonFiniteError) as err:
+    except (TruncationOverflowError, NormDriftError, NonFiniteError, LostKickError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as err:

@@ -37,6 +37,16 @@ class NonFiniteError(ZenomapError, ValueError):
     """
 
 
+class LostKickError(ZenomapError, RuntimeError):
+    """A classical kick is below the rounding of the action.
+
+    With ``I0 + k == I0`` and ``I0 - k == I0`` in float64 every kicked action
+    rounds back to ``I0``, so the ensemble cannot move and its dispersion
+    would read 0 at every step. A numerical failure like
+    :class:`TruncationOverflowError`.
+    """
+
+
 class NoLocalizationError(ZenomapError, RuntimeError):
     """An occupation profile has no decaying exponential envelope.
 

@@ -25,7 +25,12 @@ _SLOPE_RATIO = 0.25
 
 @dataclass(frozen=True, eq=False)
 class DispersionSeries:
-    """Per-kick record of dispersion, total norm, and initial-state occupation."""
+    """Per-kick record of dispersion, total norm, and initial-state occupation.
+
+    Each value column holds one value per kick index ``j``, along its last
+    axis: a 1-D column is one run, and ``RunRecord.realizations`` stacks one
+    row per realization.
+    """
 
     j: np.ndarray
     dispersion: np.ndarray
@@ -37,25 +42,27 @@ class DispersionSeries:
         for name in ("dispersion", "norm", "p_m0"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.j.size
-        if any(getattr(self, f).size != n for f in ("dispersion", "norm", "p_m0")):
+        if any(getattr(self, f).shape[-1:] != (n,) for f in ("dispersion", "norm", "p_m0")):
             raise ValueError("series columns have mismatched lengths")
         if n == 0:
             raise ValueError("series is empty")
         if np.any(np.diff(self.j) <= 0):
             raise ValueError("kick indices must be strictly increasing")
-        drift = np.abs(self.norm - 1.0)
-        if not np.all(drift <= _NORM_SLACK):  # a nan norm fails too
-            worst = float(np.max(drift))
+        # Each check reads a column's extremes, with no temporary the size of
+        # the column: x - 1 rounds monotonically in x, so the largest
+        # |norm - 1| is at the smallest or the largest norm, and a nan or an
+        # infinity shows in the min or the max (a nan norm fails too).
+        worst = max(abs(float(self.norm.max()) - 1.0), abs(float(self.norm.min()) - 1.0))
+        if not worst <= _NORM_SLACK:
             raise NormDriftError(f"norm drifted by {worst:.3e}, beyond {_NORM_SLACK:g}")
         for name in ("dispersion", "p_m0"):
             column = getattr(self, name)
-            bad = np.flatnonzero(~np.isfinite(column))
-            if bad.size:
-                first = bad[0]
+            if not (np.isfinite(column.min()) and np.isfinite(column.max())):
+                first = tuple(np.argwhere(~np.isfinite(column))[0])
                 raise NonFiniteError(
-                    f"{name} is {column[first]} at kick j = {self.j[first]}"
+                    f"{name} is {column[first]} at kick j = {self.j[first[-1]]}"
                 )
-        if np.any(self.dispersion < 0):
+        if self.dispersion.min() < 0:
             raise ValueError("dispersion must be non-negative")
 
     def __len__(self) -> int:

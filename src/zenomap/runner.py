@@ -13,17 +13,17 @@ Measurement phases for realization ``r`` come from the substream
 ``SeedSequence(seed, spawn_key=(0, r))``. The window, kick kernel and level
 spectrum (a random one drawn once from ``SeedSequence(seed)``) are properties
 of the system, built once per run and shared read-only by every realization,
-which owns only its phase stream, state and output arrays. A run without
-random input (a zeno run, or a kicked run whose ``measurement_mode`` is
-``none``) is computed once: every realization is that one series, and so is
-the aggregate, whatever ``realizations`` is. Classical realizations may
-evolve on a thread pool capped by the ``ZENO_MAP_THREADS`` environment
-variable (default: the CPUs the process may run on). Kicked realizations run
-one after another on the calling thread: each kick makes dozens of small
-numpy calls, and their hand-offs of the GIL make a second thread slower than
-one. ``ZENO_MAP_THREADS`` is checked on every run all the same. Results are
-aggregated in realization order, so output bytes do not depend on the thread
-count.
+which owns only its phase stream and state. Realization ``r`` writes its
+columns into row ``r`` of the run's ``(realizations, n_kicks + 1)`` arrays; a
+run without random input (a zeno run, or a kicked run whose
+``measurement_mode`` is ``none``) computes one row, which stands for every
+realization. The aggregate is the mean over the rows, so output bytes depend
+neither on the thread count nor, in a run of one row, on ``realizations``.
+Classical realizations may evolve on a thread pool capped by the
+``ZENO_MAP_THREADS`` environment variable (see ``zenomap.pool``). Kicked
+realizations run one after another on the calling thread: each kick makes
+dozens of small numpy calls, whose hand-offs of the GIL make a second thread
+slower than one. ``ZENO_MAP_THREADS`` is checked on every run all the same.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import os
 import secrets
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
@@ -143,7 +143,7 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # simulators
 
-def _simulate_kicked(config: ExperimentConfig) -> Callable[[int], DispersionSeries]:
+def _simulate_kicked(config: ExperimentConfig) -> tuple[Callable[[int], DispersionSeries], int]:
     window = config.window()
     window.dispersion_weights  # cached before any realization thread reads it
     kernel = build_kernel(config.k)
@@ -174,13 +174,11 @@ def _simulate_kicked(config: ExperimentConfig) -> Callable[[int], DispersionSeri
             ) from err
         return DispersionSeries(np.arange(n + 1), disp, norm, p_home)
 
-    if schedule.mode == "none":  # no readout draws a phase: every realization is this one
-        series = realization(0)
-        return lambda r: series
-    return realization
+    # no readout draws a phase: every realization is realization 0
+    return realization, 1 if schedule.mode == "none" else config.realizations
 
 
-def _simulate_classical(config: ExperimentConfig) -> Callable[[int], DispersionSeries]:
+def _simulate_classical(config: ExperimentConfig) -> tuple[Callable[[int], DispersionSeries], int]:
     def realization(r: int) -> DispersionSeries:
         ensemble = ClassicalEnsemble.prepared(
             config.particles, float(config.m0), config.tau, config.k,
@@ -188,21 +186,20 @@ def _simulate_classical(config: ExperimentConfig) -> Callable[[int], DispersionS
         )
         return ensemble_series(ensemble, config.n_kicks)
 
-    return realization
+    return realization, config.realizations
 
 
-def _simulate_zeno(config: ExperimentConfig) -> Callable[[int], DispersionSeries]:
+def _simulate_zeno(config: ExperimentConfig) -> tuple[Callable[[int], DispersionSeries], int]:
     # The two-level system read out after every segment, from level 1. For the
     # ladder m in {m0, m0 + 1}, the momentum dispersion reduces to the transfer
     # probability p2, and p_m0 is the survival probability p1. An overflowing
     # phase gives nan rows, which the series rejects.
     j = np.arange(config.n_kicks + 1)
     p1, p2 = measured_populations(ProbabilityPair(1.0, 0.0), 0.5 * config.omega * config.tau, j)
-    series = DispersionSeries(j, p2, np.ones(j.size), p1)
-    return lambda r: series
+    return lambda r: DispersionSeries(j, p2, np.ones(j.size), p1), 1
 
 
-# Run set-up per experiment: returns the function of realization r.
+# Run set-up per experiment: (function of realization r, distinct realizations).
 _SIMULATORS = {
     "zeno": _simulate_zeno,
     "kicked": _simulate_kicked,
@@ -276,7 +273,8 @@ def _one_of(values: Iterable[str]) -> KeyRule:
 CONFIG_KEYS = {
     "experiment": _one_of(_SIMULATORS),
     "spectrum": _one_of(_SPECTRA),
-    "m0": KeyRule(_integer),
+    "m0": KeyRule(_integer, lambda m0: abs(m0) <= 2**53,
+                  "must be between -2**53 and 2**53 (integers exact in float64)"),
     "k": KeyRule(_number, lambda k: 0 <= k < math.inf, "kick strength must be >= 0"),
     "tau": KeyRule(_number, lambda tau: 0 < tau < math.inf, "kick period must be positive"),
     "n_kicks": _at_least(1),
@@ -332,22 +330,21 @@ def parse_config(text: str) -> ExperimentConfig:
 
 @dataclass(eq=False)
 class RunRecord:
-    """Everything one run produced."""
+    """Everything one run produced: row r of the read-only ``realizations``
+    columns is realization r, and ``aggregate`` is their mean over the rows."""
 
     config: ExperimentConfig
-    realization_series: list[DispersionSeries]
+    realizations: DispersionSeries
     aggregate: DispersionSeries
     wall_time: float
     version: str = __version__
 
-
-def _aggregate(series: Sequence[DispersionSeries]) -> DispersionSeries:
-    return DispersionSeries(
-        series[0].j,
-        np.mean([s.dispersion for s in series], axis=0),
-        np.mean([s.norm for s in series], axis=0),
-        np.mean([s.p_m0 for s in series], axis=0),
-    )
+    @property
+    def realization_series(self) -> list[DispersionSeries]:
+        """One series per row of ``realizations``; kept because the benchmark's
+        output check (``perfbench/worker.py``) reads this name."""
+        runs = self.realizations
+        return [DispersionSeries(runs.j, *row) for row in zip(runs.dispersion, runs.norm, runs.p_m0)]
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
@@ -358,17 +355,21 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     (see the module docstring).
     """
     t0 = time.perf_counter()
-    series = map_ordered(
-        _SIMULATORS[config.experiment](config), config.realizations,
-        max_threads=1 if config.experiment == "kicked" else None,
-    )
-    # A run without random input hands every realization the same series; that
-    # series is the aggregate, since a mean of copies would move its last bits.
-    same = all(s is series[0] for s in series)
+    realization, distinct = _SIMULATORS[config.experiment](config)
+    j = np.arange(config.n_kicks + 1)
+    columns = np.empty((3, distinct, j.size))
+
+    def run(r: int) -> None:
+        series = realization(r)
+        columns[:, r] = series.dispersion, series.norm, series.p_m0
+
+    map_ordered(run, distinct, max_threads=1 if config.experiment == "kicked" else None)
+    shape = (config.realizations, j.size)
     return RunRecord(
         config=config,
-        realization_series=series,
-        aggregate=series[0] if same else _aggregate(series),
+        realizations=DispersionSeries(j, *(np.broadcast_to(c, shape) for c in columns)),
+        # the mean of one row is that row, bit for bit (no column holds -0.0)
+        aggregate=DispersionSeries(j, *(c.mean(axis=0) for c in columns)),
         wall_time=time.perf_counter() - t0,
     )
 

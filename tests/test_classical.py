@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zenomap import ClassicalEnsemble, ensemble_diffusion
+from zenomap import ClassicalEnsemble, LostKickError, ensemble_diffusion
 from zenomap.classical import (
     _INV_TWO_PI,
     _TWO_PI,
@@ -170,6 +170,18 @@ class TestEnsembleSeries:
         assert series.dispersion[0] == 0.0
         assert series.p_m0[0] == 1.0
         assert np.all(series.norm == 1.0)
+
+    @pytest.mark.parametrize("I0, k", [(1e308, 10.0), (-1e308, 10.0), (2.0**53, 0.5), (1e17, 5.0)])
+    def test_kick_below_the_rounding_of_the_action_is_lost(self, I0, k):
+        ensemble = ClassicalEnsemble.prepared(100, I0, 1.0, k, seed=1)
+        with pytest.raises(LostKickError, match="below the rounding of the action"):
+            ensemble_series(ensemble, 5)
+
+    @pytest.mark.parametrize("I0, k", [(1e308, 0.0), (2.0**53, 1.0), (1e16, 2.0)])
+    def test_kick_that_can_move_an_action_is_not_lost(self, I0, k):
+        # 2**53 + 1 rounds back to 2**53, but 2**53 - 1 is exact
+        ensemble = ClassicalEnsemble.prepared(100, I0, 1.0, k, seed=1)
+        assert len(ensemble_series(ensemble, 5)) == 6
 
 
 class TestWrapAngles:

@@ -82,6 +82,21 @@ class TestRunCommand:
         path.write_text("experiment = kicked\nk = -3\n")
         assert main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("experiment, m0", [
+        ("kicked", "9223372036854775808"), ("classical", "-" + "9" * 400),
+    ], ids=["kicked-2**63", "classical-400-digits"])
+    def test_m0_beyond_exact_float64_integers_is_config_error(
+        self, experiment, m0, tmp_path, capsys
+    ):
+        path = tmp_path / "far.cfg"
+        path.write_text(
+            f"experiment = {experiment}\nm0 = {m0}\nk = 1\nn_kicks = 3\nwindow_halfwidth = 100\n"
+        )
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "key 'm0'" in err
+
     def test_window_narrower_than_kernel_is_config_error(self, tmp_path, monkeypatch, capsys):
         def no_run(config):
             raise AssertionError("the simulation started with a window narrower than the kernel")
@@ -216,6 +231,21 @@ class TestClassicalCommand:
         out = capsys.readouterr().out
         assert "diffusion estimate" in out
         assert "quasilinear" in out
+
+    def test_kick_below_the_rounding_of_the_action_is_numerical_error(self, capsys):
+        code = main(["classical", "--i0", "1e308", "--particles", "100", "--steps", "5"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "numerical failure: the kick k = 10 is below the rounding of the action"
+        )
+        assert captured.out == ""
+
+    def test_zero_kick_strength_runs(self, capsys):
+        with pytest.warns(UserWarning, match="not globally chaotic"):
+            code = main(["classical", "--k", "0", "--particles", "100", "--steps", "5"])
+        assert code == 0
+        assert "B = 0.0000" in capsys.readouterr().out
 
     def test_overflowing_angles_are_numerical_error(self, capsys):
         code = main(["classical", "--tau", "1e308", "--particles", "200", "--steps", "20"])

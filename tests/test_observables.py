@@ -196,7 +196,9 @@ class TestSeriesValidation:
                 np.array([0, 1]), np.zeros(2), np.array([1.0, 1.1]), np.ones(2)
             )
 
-    @pytest.mark.parametrize("norm", [1.0 + 2e-6, np.nan], ids=["beyond_slack", "nan"])
+    @pytest.mark.parametrize(
+        "norm", [1.0 + 2e-6, np.nan, 1.0 - 2e-6], ids=["beyond_slack", "nan", "below_slack"]
+    )
     def test_norm_drift_is_a_numerical_failure(self, norm):
         with pytest.raises(NormDriftError) as excinfo:
             DispersionSeries(
@@ -205,7 +207,7 @@ class TestSeriesValidation:
         assert isinstance(excinfo.value, ValueError)
 
     @pytest.mark.parametrize("column", ["dispersion", "p_m0"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_column_is_a_numerical_failure(self, column, value):
         columns = {"dispersion": np.zeros(3), "p_m0": np.ones(3)}
         columns[column][2] = value
@@ -213,6 +215,20 @@ class TestSeriesValidation:
             DispersionSeries(np.arange(3), columns["dispersion"], np.ones(3), columns["p_m0"])
         assert str(excinfo.value) == f"{column} is {value} at kick j = 2"
         assert isinstance(excinfo.value, ValueError)
+
+    def test_rows_share_the_kick_axis(self):
+        rows = DispersionSeries([0, 1, 2], [[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]],
+                                np.ones((2, 3)), np.ones((2, 3)))
+        assert len(rows) == 3
+        assert rows.dispersion.shape == (2, 3)
+        with pytest.raises(ValueError, match="mismatched lengths"):
+            DispersionSeries([0, 1, 2], np.zeros((3, 2)), np.ones((3, 2)), np.ones((3, 2)))
+
+    def test_non_finite_row_value_names_its_kick(self):
+        dispersion = np.zeros((2, 3))
+        dispersion[1, 2] = np.nan
+        with pytest.raises(NonFiniteError, match=r"^dispersion is nan at kick j = 2$"):
+            DispersionSeries(np.arange(3), dispersion, np.ones((2, 3)), np.ones((2, 3)))
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):

@@ -131,6 +131,8 @@ class TestParseConfig:
         ({"spectrum": "bogus"}, "spectrum"),
         ({"measurement_mode": "bogus"}, "measurement_mode"),
         ({"measurement_mode": "subset", "subset": (9000,)}, "subset"),
+        ({"m0": 2**63, "k": 1.0, "n_kicks": 3, "window_halfwidth": 100}, "m0"),
+        ({"experiment": "classical", "m0": -(10**400)}, "m0"),
     ],
 )
 def test_bad_config_is_rejected_when_built(fields, key):
@@ -152,6 +154,12 @@ def test_bad_config_is_rejected_when_built(fields, key):
          "subset given but mode is initial (key 'subset', line 3)"),
         ("experiment = kicked\nwindow_halfwidth = 31\n",
          "must be >= 32 for k = 10 (kick kernel of 65 states) (key 'window_halfwidth', line 2)"),
+        # 2**63: the window's momenta would be float64, so every dispersion weight 0
+        ("experiment = kicked\nm0 = 9223372036854775808\nk = 1\nn_kicks = 3\n"
+         "window_halfwidth = 100\n",
+         "must be between -2**53 and 2**53 (integers exact in float64) (key 'm0', line 2)"),
+        ("experiment = classical\nm0 = -" + "9" * 400 + "\n",
+         "must be between -2**53 and 2**53 (integers exact in float64) (key 'm0', line 2)"),
     ],
 )
 def test_config_message_is_pinned(document, message):
@@ -254,13 +262,23 @@ class TestRunExperiment:
 
     def test_realizations_differ_but_aggregate_is_their_mean(self):
         record = run_experiment(_small_config())
-        assert len(record.realization_series) == 3
-        assert not np.array_equal(
-            record.realization_series[0].dispersion,
-            record.realization_series[1].dispersion,
-        )
-        stacked = np.mean([s.dispersion for s in record.realization_series], axis=0)
+        rows = record.realizations.dispersion
+        assert rows.shape == (3, 41)
+        assert not np.array_equal(rows[0], rows[1])
+        stacked = np.mean(list(rows), axis=0)
         assert np.array_equal(record.aggregate.dispersion, stacked)
+        with pytest.raises(ValueError):
+            rows[0, 1] = 0.0
+
+    def test_realization_series_is_one_series_per_row(self):
+        # perfbench/worker.py reads realization_series
+        record = run_experiment(_small_config(n_kicks=5))
+        runs = record.realizations
+        assert len(record.realization_series) == 3
+        for r, series in enumerate(record.realization_series):
+            assert np.array_equal(series.j, runs.j)
+            for column in ("dispersion", "norm", "p_m0"):
+                assert np.array_equal(getattr(series, column), getattr(runs, column)[r])
 
     @pytest.mark.parametrize(
         "config",
@@ -288,7 +306,7 @@ class TestRunExperiment:
         # classical realizations, since kicked ones never start a pool
         config = ExperimentConfig("classical", n_kicks=5, particles=50, realizations=3)
         record = run_experiment(config)
-        assert len(record.realization_series) == 3
+        assert record.realizations.dispersion.shape == (3, 6)
 
     def test_kicked_realizations_run_on_the_calling_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -297,7 +315,7 @@ class TestRunExperiment:
         monkeypatch.setenv("ZENO_MAP_THREADS", "2")
         monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
         record = run_experiment(_small_config(n_kicks=5))
-        assert len(record.realization_series) == 3
+        assert record.realizations.dispersion.shape == (3, 6)
 
     def test_classical_realizations_share_the_thread_budget(self, monkeypatch):
         started = []
@@ -362,7 +380,13 @@ class TestRunExperiment:
         monkeypatch.setattr(runner, "step", counted_step)
         record = run_experiment(_small_config(n_kicks=30, measurement_mode="none"))
         assert len(calls) == 30
-        assert len(record.realization_series) == 3
+        for column in ("dispersion", "norm", "p_m0"):
+            rows = getattr(record.realizations, column)
+            assert rows.shape == (3, 31)
+            assert rows.strides[0] == 0  # one row, broadcast read-only
+            assert np.array_equal(getattr(record.aggregate, column), rows[0])
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
 
     def test_classical_series_runs(self):
         config = ExperimentConfig(
@@ -443,16 +467,16 @@ class TestScenarioOrdering:
         # periodic full measurement staircases above the unmeasured run, and
         # initial-state-only stays above unmeasured through its active window
         a = curve_a["series"]
-        b = curve_b_record.realization_series[0]
-        c = curve_c_record.realization_series[0]
-        d = curve_d_record.realization_series[0]
-        assert d.dispersion[-1] > c.dispersion[-1] > a.dispersion[-1]
+        b = curve_b_record.realizations.dispersion[0]
+        c = curve_c_record.realizations.dispersion[0]
+        d = curve_d_record.realizations.dispersion[0]
+        assert d[-1] > c[-1] > a.dispersion[-1]
 
         def smooth(x):
             return np.convolve(x, np.ones(50) / 50, mode="valid")
 
         active = slice(100, 552)  # smoothed 50-kick windows covering [100, 600]
-        assert np.all(smooth(b.dispersion)[active] > smooth(a.dispersion)[active])
+        assert np.all(smooth(b)[active] > smooth(a.dispersion)[active])
 
 
 class TestCsv:
@@ -460,8 +484,8 @@ class TestCsv:
         series = DispersionSeries(
             [0, 1, 2], [0.0, 50.0, 101.5], [1.0, 1.0, 1.0], [1.0, 0.25, 0.125]
         )
-        config = ExperimentConfig(experiment="kicked")
-        return RunRecord(config, [series], series, 0.0)
+        rows = DispersionSeries(series.j, [series.dispersion], [series.norm], [series.p_m0])
+        return RunRecord(ExperimentConfig(experiment="kicked"), rows, series, 0.0)
 
     def test_header_and_row_count(self, tmp_path):
         path = tmp_path / "out.csv"
