@@ -48,21 +48,19 @@ class DispersionSeries:
             raise ValueError("series is empty")
         if np.any(np.diff(self.j) <= 0):
             raise ValueError("kick indices must be strictly increasing")
-        # Each check reads a column's extremes, with no temporary the size of
-        # the column: x - 1 rounds monotonically in x, so the largest
-        # |norm - 1| is at the smallest or the largest norm, and a nan or an
-        # infinity shows in the min or the max (a nan norm fails too).
-        worst = max(abs(float(self.norm.max()) - 1.0), abs(float(self.norm.min()) - 1.0))
-        if not worst <= _NORM_SLACK:
+        drift = np.abs(self.norm - 1.0)
+        if not np.all(drift <= _NORM_SLACK):  # a nan norm fails too
+            worst = float(np.max(drift))
             raise NormDriftError(f"norm drifted by {worst:.3e}, beyond {_NORM_SLACK:g}")
         for name in ("dispersion", "p_m0"):
             column = getattr(self, name)
-            if not (np.isfinite(column.min()) and np.isfinite(column.max())):
-                first = tuple(np.argwhere(~np.isfinite(column))[0])
+            bad = np.argwhere(~np.isfinite(column))
+            if bad.size:
+                first = tuple(bad[0])
                 raise NonFiniteError(
                     f"{name} is {column[first]} at kick j = {self.j[first[-1]]}"
                 )
-        if self.dispersion.min() < 0:
+        if np.any(self.dispersion < 0):
             raise ValueError("dispersion must be non-negative")
 
     def __len__(self) -> int:
@@ -164,14 +162,17 @@ def fit_localization_length(
     return LocalizationFit(length=-2.0 / slope, residual=residual, window=window)
 
 
-def diffusion_slope(series: DispersionSeries, j_lo: int, j_hi: int) -> float:
-    """Least-squares slope of dispersion versus kick index over ``[j_lo, j_hi]``."""
+def diffusion_slope(series: DispersionSeries, j_lo: int, j_hi: int) -> float | np.ndarray:
+    """Least-squares slope of dispersion versus kick index over ``[j_lo, j_hi]``:
+    a float for a 1-D series, one slope per row for stacked rows such as
+    ``RunRecord.realizations``."""
     if j_hi <= j_lo:
         raise ValueError(f"need j_hi > j_lo, got [{j_lo}, {j_hi}]")
     mask = (series.j >= j_lo) & (series.j <= j_hi)
     if np.count_nonzero(mask) < 2:
         raise ValueError(f"fewer than two series entries in [{j_lo}, {j_hi}]")
-    return float(np.polyfit(series.j[mask], series.dispersion[mask], 1)[0])
+    slope = np.polyfit(series.j[mask], series.dispersion[..., mask].T, 1)[0]
+    return float(slope) if series.dispersion.ndim == 1 else slope
 
 
 def detect_break_time(series: DispersionSeries, window: int = 25) -> BreakTimeEstimate:

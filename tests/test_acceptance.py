@@ -170,9 +170,7 @@ def test_criterion_08_classical_baseline(curve_d_record):
     # clause 2: quantum every-kick slope vs the classical uncorrelated rate
     # (first-kick dispersion from uniform angles) within joint 2 sigma, and the
     # classical long-time slope vs 2 tau B_RW +- 10%
-    # per-realization least-squares slopes over j in [0, 1000], one per row
-    runs = curve_d_record.realizations
-    q_slopes = np.polyfit(runs.j, runs.dispersion.T, 1)[0]
+    q_slopes = diffusion_slope(curve_d_record.realizations, 0, 1000)  # one per realization
     q_mean = float(np.mean(q_slopes))
     q_sem = float(np.std(q_slopes, ddof=1) / math.sqrt(q_slopes.size))
     classical_record = run_experiment(
@@ -186,7 +184,7 @@ def test_criterion_08_classical_baseline(curve_d_record):
     c_mean = float(np.mean(c_rates))
     c_sem = float(np.std(c_rates, ddof=1) / math.sqrt(c_rates.size))
     joint = math.sqrt(q_sem**2 + c_sem**2)
-    c_slope = float(np.mean(np.polyfit(c_runs.j, c_runs.dispersion.T, 1)[0]))
+    c_slope = float(np.mean(diffusion_slope(c_runs, 0, 200)))
     c_slope_ref = 2.0 * tau * b_rw
     clause2 = abs(q_mean - c_mean) <= 2.0 * joint
     clause2 &= abs(c_slope - c_slope_ref) / c_slope_ref <= 0.10

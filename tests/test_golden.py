@@ -6,8 +6,11 @@ machine at any thread count. Only an exact match sees a change below the
 tolerances, such as a kick that skips the ``_SLICE_EPS`` trim, which moves
 kicked values by less than 1e-15. Elsewhere kicked columns are compared
 within the blocked kick's tolerance: 1e-14 relative in ``dispersion``, 1e-14
-absolute in ``norm`` and 2e-15 absolute in ``p_m0``; classical and zeno
-values within 1e-12 relative.
+absolute in ``norm`` and 2e-15 absolute in ``p_m0``; zeno values within
+1e-12 relative, and classical values within 1e-12 relative up to kick
+``CLASSICAL_HORIZON`` only. The last two tests show that one ulp more in
+every ``np.exp`` or ``np.sin`` value, as another machine's SIMD or libm code
+may give, stays within these tolerances.
 """
 
 import importlib.util
@@ -18,6 +21,9 @@ import re
 import numpy as np
 import pytest
 
+# imported before a test patches numpy, so that no module constant sees the patch
+import zenomap.cli  # noqa: F401
+
 _SPEC = importlib.util.spec_from_file_location(
     "golden_make", pathlib.Path(__file__).with_name("golden") / "make.py"
 )
@@ -26,6 +32,14 @@ _SPEC.loader.exec_module(make)
 
 KICKED_TOLERANCE = {"dispersion": (1e-14, 0.0), "norm": (0.0, 1e-14), "p_m0": (0.0, 2e-15)}
 ELSEWHERE_RTOL = 1e-12
+# Classical runs at K = tau*k = 10 are chaotic: one ulp more in every np.sin
+# value moves the classical document's dispersion by 8e-14 relative at kick 5,
+# 3e-12 at kick 7 and 2 % at kick 50. Off the generating platform classical
+# values are compared up to this kick only; the diffusion estimate and ratio
+# that `zenomap classical` prints come from its last kick and are not compared
+# there. Acceptance criterion 8 checks classical diffusion statistically.
+CLASSICAL_HORIZON = 5
+_PAST_HORIZON = re.compile(r"(B = |ratio: +)\S+")
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
@@ -45,21 +59,28 @@ def test_golden_cases_are_the_generated_cases(outputs):
     assert list(outputs) == list(GOLDEN["outputs"])
 
 
-def _compare(expected: dict, actual: dict, exact: bool) -> None:
+def _compare(expected: dict, actual: dict, exact: bool, horizon=None) -> None:
+    """``horizon``: compare kicks ``j <= horizon`` only, and no printed
+    value taken from a later kick."""
     if exact:
         assert actual == expected
         return
     if expected["kind"] == "stdout":
+        want, got = expected["stdout"], actual["stdout"]
+        if horizon is not None:
+            want, got = _PAST_HORIZON.sub(r"\1#", want), _PAST_HORIZON.sub(r"\1#", got)
         # printed with 4 decimals: allow one unit in the last place
-        assert _NUMBER.sub("#", actual["stdout"]) == _NUMBER.sub("#", expected["stdout"])
-        got = [float(x) for x in _NUMBER.findall(actual["stdout"])]
-        want = [float(x) for x in _NUMBER.findall(expected["stdout"])]
+        assert _NUMBER.sub("#", got) == _NUMBER.sub("#", want)
+        got = [float(x) for x in _NUMBER.findall(got)]
+        want = [float(x) for x in _NUMBER.findall(want)]
         np.testing.assert_allclose(got, want, rtol=ELSEWHERE_RTOL, atol=1e-4)
         return
     header, *rows = expected["csv"]
     assert actual["csv"][0] == header
     got, want = _values(actual["csv"][1:]), _values(rows)
     assert got.shape == want.shape
+    if horizon is not None:
+        got, want = got[want[:, 0] <= horizon], want[want[:, 0] <= horizon]
     if expected["kind"] == "csv":
         np.testing.assert_allclose(got, want, rtol=ELSEWHERE_RTOL, atol=0.0)
         return
@@ -70,12 +91,48 @@ def _compare(expected: dict, actual: dict, exact: bool) -> None:
         np.testing.assert_allclose(got[:, at], want[:, at], rtol=rtol, atol=atol, err_msg=column)
 
 
+def _horizon(name: str):
+    return CLASSICAL_HORIZON if name.startswith("classical") else None
+
+
 @pytest.mark.parametrize("name", list(GOLDEN["outputs"]))
 def test_output_matches_golden(outputs, name):
     exact = GOLDEN["platform"] == make.platform_key()
-    _compare(GOLDEN["outputs"][name], outputs[name], exact)
+    _compare(GOLDEN["outputs"][name], outputs[name], exact, _horizon(name))
 
 
-def test_comparison_off_the_generating_platform_accepts_the_golden_data():
-    for expected in GOLDEN["outputs"].values():
-        _compare(expected, expected, exact=False)
+def _one_ulp_up(monkeypatch, outputs: dict, function: str) -> dict:
+    """Every case, with one ulp more in each real and imaginary part that
+    ``np.<function>`` returns; returns the outputs that differ from this
+    machine's unperturbed ones."""
+    exact = getattr(np, function)
+
+    def one_ulp_up(*args, out=None):
+        value = exact(*args, out=out)
+        if np.iscomplexobj(value):
+            value.real = np.nextafter(value.real, np.inf)
+            value.imag = np.nextafter(value.imag, np.inf)
+            return value
+        return np.nextafter(value, np.inf, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, function, one_ulp_up)
+        perturbed = make.generate()
+    return {name: out for name, out in perturbed.items() if out != outputs[name]}
+
+
+def test_one_ulp_of_exp_stays_within_the_kicked_tolerance(monkeypatch, outputs):
+    moved = _one_ulp_up(monkeypatch, outputs, "exp")
+    assert sorted(moved) == sorted(name for name in outputs if name.startswith("kicked"))
+    for name, actual in moved.items():
+        _compare(outputs[name], actual, exact=False)
+
+
+def test_one_ulp_of_sin_stays_within_the_classical_horizon(monkeypatch, outputs):
+    moved = _one_ulp_up(monkeypatch, outputs, "sin")
+    assert sorted(moved) == ["classical", "classical-command", "zeno-command"]
+    for name, actual in moved.items():
+        _compare(outputs[name], actual, exact=False, horizon=_horizon(name))
+    # past the horizon the classical values have moved beyond the tolerance
+    with pytest.raises(AssertionError):
+        _compare(outputs["classical"], moved["classical"], exact=False)

@@ -145,6 +145,15 @@ class TestDiffusionSlope:
         with pytest.raises(ValueError):
             diffusion_slope(self._line_series(1.0), 200, 300)
 
+    def test_stacked_rows_give_one_slope_each(self):
+        j = np.arange(101)
+        rows = np.array([50.0 * j, 20.0 * j + 3.0])
+        rows[:, 60:] = 0.0  # outside the fitted window
+        series = DispersionSeries(j, rows, np.ones((2, 101)), np.ones((2, 101)))
+        slopes = diffusion_slope(series, 0, 50)
+        assert slopes.shape == (2,)
+        np.testing.assert_allclose(slopes, [50.0, 20.0], atol=1e-10)
+
 
 class TestBreakTime:
     def test_pure_line_is_delocalized(self):
