@@ -31,6 +31,11 @@ from the weights, which BLAS computes several times faster. The two agree
 to within a few units of roundoff (below 2e-16 absolute on a unit-norm
 state); every output bin that takes a single nonzero product, as after a
 kick of a one-bin state, is the same bit for bit.
+
+Operations never mutate their input. :func:`step` kicks into a new vector
+and then moves that vector, which no caller holds yet, through the free
+flight in place; :func:`apply_free` and :func:`adjoint_step` run the same
+flight on a copy of their input.
 """
 
 from __future__ import annotations
@@ -120,7 +125,9 @@ class QuantumState:
 
     ``time_index`` counts completed kicks; the amplitudes always describe
     the state immediately before the next kick. Operations return new
-    states and never mutate their input.
+    states and never mutate their input: :func:`step` moves the vector that
+    its own :func:`apply_kick` call has just returned through the free
+    flight in place, and that vector belongs to no caller.
 
     ``support = (lo, hi)`` is a nonempty half-open range of array positions
     outside which every amplitude is exactly zero; operations read and write
@@ -164,6 +171,21 @@ class QuantumState:
         return float(np.vdot(lo, lo).real), float(np.vdot(hi, hi).real)
 
     @classmethod
+    def _trusted(
+        cls, window: BasisWindow, amplitudes: np.ndarray, time_index: int,
+        support: tuple[int, int],
+    ) -> "QuantumState":
+        """A state on a complex vector that the package has just built for
+        ``window``, with a valid ``support``; skips the checks of
+        ``__post_init__``, which the public constructor keeps."""
+        state = object.__new__(cls)
+        state.window = window
+        state.amplitudes = amplitudes
+        state.time_index = time_index
+        state.support = support
+        return state
+
+    @classmethod
     def delta(cls, window: BasisWindow) -> "QuantumState":
         """Unit amplitude on the initial state ``m0``, before any kick."""
         a = np.zeros(window.size, dtype=np.complex128)
@@ -181,12 +203,12 @@ def _zero_outside(size: int, support: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def _times(state: QuantumState, factors: np.ndarray) -> np.ndarray:
-    """The amplitudes times the window-length ``factors``, on the support only."""
-    lo, hi = state.support
-    out = _zero_outside(state.amplitudes.size, state.support)
-    np.multiply(state.amplitudes[lo:hi], factors[lo:hi], out=out[lo:hi])
-    return out
+def _fly(amplitudes: np.ndarray, support: tuple[int, int], multiplier: np.ndarray) -> None:
+    """Multiply ``amplitudes`` by the window-length ``multiplier`` on
+    ``support``, in place: the free flight of every caller."""
+    lo, hi = support
+    a = amplitudes[lo:hi]
+    np.multiply(a, multiplier[lo:hi], out=a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +357,7 @@ def apply_kick(state: QuantumState, kernel: KickKernel) -> QuantumState:
     """
     _check_kick(state, kernel)
     out, support = _convolve(state.amplitudes, state.support, kernel)
-    return QuantumState(state.window, out, state.time_index, support)
+    return QuantumState._trusted(state.window, out, state.time_index, support)
 
 
 def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,10 +376,12 @@ def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, 
     span = toeplitz.shape[0] - q
     n = a.size
     rows = -(-(n + span) // q)
-    x = np.zeros((2 * rows, q))
+    x = np.empty((2 * rows, q))
     flat = x.reshape(-1)
     flat[:n] = a.real
+    flat[n:rows * q] = 0.0
     flat[rows * q:rows * q + n] = a.imag
+    flat[rows * q + n:] = 0.0
     y = x @ toeplitz[span:]
     y[1:] += x[:-1, q - span:] @ toeplitz[:span]
     flat = y.reshape(-1)
@@ -450,20 +474,30 @@ class SpectrumModel:
         return cls(2.0 * np.pi * g, window)
 
 
+def _check_spectrum(state: QuantumState, spectrum: SpectrumModel) -> None:
+    if spectrum.window is not state.window and spectrum.window != state.window:
+        raise ValueError("spectrum phase table does not cover the state's window")
+
+
 def apply_free(state: QuantumState, spectrum: SpectrumModel) -> QuantumState:
     """Diagonal free flight: every amplitude picks up its fixed phase."""
-    if spectrum.window != state.window:
-        raise ValueError("spectrum phase table does not cover the state's window")
-    return QuantumState(
-        state.window, _times(state, spectrum.multiplier), state.time_index, state.support
-    )
+    _check_spectrum(state, spectrum)
+    out = state.amplitudes.copy()
+    _fly(out, state.support, spectrum.multiplier)
+    return QuantumState._trusted(state.window, out, state.time_index, state.support)
 
 
 def step(
     state: QuantumState, kernel: KickKernel, spectrum: SpectrumModel
 ) -> QuantumState:
-    """One full period: kick, then free flight; advances the kick counter."""
-    out = apply_free(apply_kick(state, kernel), spectrum)
+    """One full period: kick, then free flight; advances the kick counter.
+
+    The flight runs in place on the state that the kick has just returned,
+    which no caller holds, so ``state`` itself is left untouched.
+    """
+    _check_spectrum(state, spectrum)
+    out = apply_kick(state, kernel)
+    _fly(out.amplitudes, out.support, spectrum.multiplier)
     out.time_index = state.time_index + 1
     return out
 
@@ -478,9 +512,9 @@ def adjoint_step(
     Running n steps forward and n adjoint steps back recovers the initial
     state up to roundoff as long as no measurement intervened.
     """
-    if spectrum.window != state.window:
-        raise ValueError("spectrum phase table does not cover the state's window")
+    _check_spectrum(state, spectrum)
     _check_kick(state, kernel)
-    undone = _times(state, np.conj(spectrum.multiplier))
+    undone = state.amplitudes.copy()
+    _fly(undone, state.support, np.conj(spectrum.multiplier))
     out, support = _convolve(undone, state.support, KickKernel(kernel.coefficients[::-1]))
-    return QuantumState(state.window, out, state.time_index - 1, support)
+    return QuantumState._trusted(state.window, out, state.time_index - 1, support)

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kick_engine import QuantumState
+from .kick_engine import QuantumState, _zero_outside
 
 _PHASE_STEP = 2.0 * np.pi / 4096
 # h*s is formed by the same float product here and in _phase_factors, so the
@@ -149,17 +149,21 @@ def apply_measurement(
     """
     if schedule.mode == "none":
         return state
+    window = state.window
     if schedule.mode == "all":
         # Every state takes its draw, so the stream does not depend on the
         # support, but only the draws of the support become factors.
         lo, hi = state.support
-        factors = _phase_factors(rng.phases(state.window.size)[lo:hi])
-        out = np.zeros_like(state.amplitudes)
+        factors = _phase_factors(rng.phases(window.size)[lo:hi])
+        out = _zero_outside(window.size, state.support)
         np.multiply(factors, state.amplitudes[lo:hi], out=out[lo:hi])
-        return QuantumState(state.window, out, state.time_index, state.support)
-    states = (state.window.m0,) if schedule.mode == "initial" else schedule.subset
-    positions = [state.window.offset(m) for m in states]  # raises if outside
-    betas = rng.phases(len(positions))
+        return QuantumState._trusted(window, out, state.time_index, state.support)
     out = state.amplitudes.copy()
-    out[positions] *= np.exp(1j * betas)
-    return QuantumState(state.window, out, state.time_index, state.support)
+    if schedule.mode == "initial":
+        # the same single draw and factor as a subset readout of m0
+        home = window.m0 - window.m_min
+        out[home:home + 1] *= np.exp(1j * rng.phases(1))
+    else:
+        positions = [window.offset(m) for m in schedule.subset]  # raises if outside
+        out[positions] *= np.exp(1j * rng.phases(len(positions)))
+    return QuantumState._trusted(window, out, state.time_index, state.support)

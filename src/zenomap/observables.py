@@ -97,7 +97,9 @@ def dispersion(state: QuantumState) -> float:
     """``sum (m - m0)^2 |a_m|^2`` over the state's window (its support)."""
     lo, hi = state.support
     a = state.amplitudes[lo:hi]
-    return float(np.dot(state.window.dispersion_weights[lo:hi], a.real**2 + a.imag**2))
+    occupation = np.square(a.real)
+    occupation += np.square(a.imag)
+    return float(np.dot(state.window.dispersion_weights[lo:hi], occupation))
 
 
 def time_averaged_profile(states: Iterable[QuantumState]) -> np.ndarray:

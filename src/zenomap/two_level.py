@@ -129,8 +129,8 @@ def monte_carlo_measured_evolve(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     start = np.random.default_rng(seed).bit_generator.state
-    p1 = np.full(trials, p0.p1)
-    p2 = np.full(trials, p0.p2)
+    p1 = np.full(trials, p0.p1, dtype=float)  # an int pair would make int arrays
+    p2 = np.full(trials, p0.p2, dtype=float)
     c = math.cos(phi)
     s = math.sin(phi)
     c2, s2, sin2phi = c * c, s * s, 2.0 * c * s

@@ -565,3 +565,42 @@ class TestSupport:
         for support in [(3, 3), (-1, 4), (0, 22)]:
             with pytest.raises(ValueError):
                 QuantumState(window, np.zeros(window.size, complex), support=support)
+
+
+_CALLS = {
+    "step": lambda state, kernel, spectrum: step(state, kernel, spectrum),
+    "apply_kick": lambda state, kernel, spectrum: apply_kick(state, kernel),
+    "apply_free": lambda state, kernel, spectrum: apply_free(state, spectrum),
+    "adjoint_step": lambda state, kernel, spectrum: adjoint_step(state, kernel, spectrum),
+    **{
+        f"apply_measurement {mode}": (
+            lambda state, kernel, spectrum, schedule=MeasurementSchedule(mode, 1, subset):
+                apply_measurement(state, schedule, PhaseRandomizer(3))
+        )
+        for mode, subset in (("none", None), ("subset", (480, 500, 503)),
+                             ("all", None), ("initial", None))
+    },
+}
+
+
+class TestInputsAreNotMutated:
+    @pytest.mark.parametrize("call", _CALLS)
+    @pytest.mark.parametrize("kicks", [3, 40])
+    def test_input_is_unchanged_and_not_shared(self, kernel10, call, kicks):
+        # 3 measured kicks leave a support that np.convolve kicks, 40 one
+        # that the blocked product kicks
+        window = BasisWindow.centered(500, 600)
+        spectrum = SpectrumModel.rotator(window, tau=1.0)
+        state, schedule, rng = QuantumState.delta(window), MeasurementSchedule("all"), PhaseRandomizer(8)
+        for _ in range(kicks):
+            state = apply_measurement(step(state, kernel10, spectrum), schedule, rng)
+        lo, hi = state.support
+        assert (hi - lo >= _BLOCKED_MIN_BINS) == (kicks == 40)
+        before, support = state.amplitudes.tobytes(), state.support
+        out = _CALLS[call](state, kernel10, spectrum)
+        assert state.amplitudes.tobytes() == before
+        assert state.support == support and state.time_index == kicks
+        if call == "apply_measurement none":
+            assert out is state  # no readout returns its input, which stays as it was
+        else:
+            assert not np.shares_memory(out.amplitudes, state.amplitudes)

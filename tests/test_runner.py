@@ -7,10 +7,18 @@ import time
 import numpy as np
 import pytest
 
+import zenomap.kick_engine as kick_engine
 import zenomap.pool as pool
 import zenomap.runner as runner
-from zenomap import ConfigError, ProbabilityPair, SpectrumModel, TruncationOverflowError
+from zenomap import (
+    ConfigError,
+    ProbabilityPair,
+    QuantumState,
+    SpectrumModel,
+    TruncationOverflowError,
+)
 from zenomap.chart import emit_chart, render_chart
+from zenomap.measurement import PhaseRandomizer
 from zenomap.observables import DispersionSeries
 from zenomap.runner import (
     CONFIG_KEYS,
@@ -423,6 +431,39 @@ class TestRunExperiment:
         for array in (window.dispersion_weights, kernel.coefficients, spectrum.multiplier):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    @pytest.mark.parametrize("preset", "bd")
+    def test_every_kick_goes_through_the_traced_calls(self, monkeypatch, preset):
+        # The benchmark's tracer wraps these attributes and gates on the call
+        # and draw counts, so a hot path that bypasses them must fail here.
+        config = _small_config(
+            k=5.0, window_halfwidth=200, n_kicks=20, realizations=2,
+        ).with_preset(preset)
+        expected = run_experiment(config).aggregate
+        calls = dict.fromkeys(("step", "apply_kick", "apply_measurement", "dispersion",
+                               "norm_sq", "draws"), 0)
+
+        def counted(name, fn, amount=lambda *args: 1):
+            def wrapper(*args):
+                calls[name] += amount(*args)
+                return fn(*args)
+            return wrapper
+
+        for owner, name in ((runner, "step"), (runner, "apply_measurement"),
+                            (runner, "dispersion"), (kick_engine, "apply_kick"),
+                            (QuantumState, "norm_sq")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        monkeypatch.setattr(PhaseRandomizer, "phases", counted(
+            "draws", PhaseRandomizer.phases, lambda rng, count: count))
+        series = run_experiment(config).aggregate
+        kicks = config.realizations * config.n_kicks
+        assert calls == {
+            "step": kicks, "apply_kick": kicks, "apply_measurement": kicks,
+            "dispersion": kicks + config.realizations, "norm_sq": kicks + config.realizations,
+            "draws": kicks * (1 if preset == "b" else config.window().size),
+        }
+        for column in ("dispersion", "norm", "p_m0"):
+            assert np.array_equal(getattr(series, column), getattr(expected, column))
 
 
 class TestMapOrdered:

@@ -162,6 +162,14 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_measured_evolve(ProbabilityPair(1.0, 0.0), 0.3, 8, 0, seed=1)
 
+    @pytest.mark.parametrize("n", [0, 1, 8])
+    def test_int_pair_gives_the_float_pair_result(self, n):
+        # an int pair once made int arrays that the in-place update cannot hold
+        ints = monte_carlo_measured_evolve(ProbabilityPair(1, 0), 0.3, n, 500, seed=9)
+        floats = monte_carlo_measured_evolve(ProbabilityPair(1.0, 0.0), 0.3, n, 500, seed=9)
+        assert ints == floats
+        assert type(ints.p1) is float and type(ints.p2) is float
+
     def test_matches_explicit_amplitude_simulation(self):
         # oracle: evolve complex amplitudes with freshly drawn phases before
         # every segment, consuming the random stream in the same layout
