@@ -568,10 +568,10 @@ class TestSupport:
 
 
 _CALLS = {
-    "step": lambda state, kernel, spectrum: step(state, kernel, spectrum),
+    "step": step,
     "apply_kick": lambda state, kernel, spectrum: apply_kick(state, kernel),
     "apply_free": lambda state, kernel, spectrum: apply_free(state, spectrum),
-    "adjoint_step": lambda state, kernel, spectrum: adjoint_step(state, kernel, spectrum),
+    "adjoint_step": adjoint_step,
     **{
         f"apply_measurement {mode}": (
             lambda state, kernel, spectrum, schedule=MeasurementSchedule(mode, 1, subset):

@@ -164,7 +164,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n", [0, 1, 8])
     def test_int_pair_gives_the_float_pair_result(self, n):
-        # an int pair once made int arrays that the in-place update cannot hold
+        # the trial arrays are float even for an int pair, whose int arrays
+        # the in-place update could not hold
         ints = monte_carlo_measured_evolve(ProbabilityPair(1, 0), 0.3, n, 500, seed=9)
         floats = monte_carlo_measured_evolve(ProbabilityPair(1.0, 0.0), 0.3, n, 500, seed=9)
         assert ints == floats
