@@ -17,11 +17,19 @@ uniformly by ``ClassicalEnsemble.prepared`` from its ``seed``, and
 ``ensemble_series`` evolves those angles. ``classical_step`` is the scalar
 map the array map is tested against.
 
+An ensemble may hold several equal-sized realizations one after another in
+its flat ``particles`` array (``ClassicalEnsemble.realizations``). They
+evolve as one array, so a step makes one call per numpy operation for all of
+them, and ``ensemble_series`` returns one row per realization. Every step is
+elementwise and each row's statistics reduce that row alone, so a row's
+bytes do not depend on the rows it evolves with.
+
 Each step wraps the angles into [0, 2*pi). When every angle is finite and in
-[0, 2**20 * 2*pi), ``_wrap_angles`` subtracts ``n * 2*pi`` by an exact
-two-constant reduction, bit for bit as ``np.mod`` would wrap them; all other
-angles go through ``np.mod``, with its values and warnings. Classical outputs
-are byte-identical to those of earlier versions.
+[+0, 2**20 * 2*pi), and the array holds at least ``_MOD_BELOW`` of them,
+``_wrap_angles`` subtracts ``n * 2*pi`` by an exact two-constant reduction,
+bit for bit as ``np.mod`` would wrap them; all other angles go through
+``np.mod``, with its values and warnings. Classical outputs are
+byte-identical to those of earlier versions.
 """
 
 from __future__ import annotations
@@ -48,6 +56,13 @@ _TWO_PI_HI = float.fromhex("0x1.921fb544p+2")
 _TWO_PI_LO = _TWO_PI - _TWO_PI_HI
 _INV_TWO_PI = 1.0 / _TWO_PI
 _WRAP_LIMIT = 2.0**20 * _TWO_PI_HI
+# The bits of _WRAP_LIMIT as an unsigned integer. Read as uint64, the doubles
+# in [+0, _WRAP_LIMIT) are exactly those below it: a set sign bit (a negative
+# number or -0.0), infinities and nans all read higher.
+_WRAP_LIMIT_BITS = int(np.array(_WRAP_LIMIT).view(np.uint64))
+# Below this many angles one np.mod call is faster than the reduction's
+# fixed cost of about a dozen calls (break-even near 700 on a 2-vCPU Xeon).
+_MOD_BELOW = 700
 
 
 @dataclass(frozen=True)
@@ -61,17 +76,27 @@ class ClassicalParticle:
 @dataclass(frozen=True, eq=False)
 class ClassicalEnsemble:
     """Particles at action ``I0`` (a read-only float64 array of their initial
-    angles), plus the map parameters they evolve under."""
+    angles), plus the map parameters they evolve under.
+
+    ``particles`` holds ``realizations`` equal-sized ensembles one after
+    another; it stays flat, so ``len(particles)`` counts every particle.
+    """
 
     particles: np.ndarray
     I0: float
     tau: float
     k: float
+    realizations: int = 1
 
     def __post_init__(self) -> None:
         angles = np.array(self.particles, dtype=np.float64)
         if angles.ndim != 1 or angles.size < 1:
             raise ValueError(f"need a nonempty 1-d array of angles, got shape {angles.shape}")
+        if self.realizations < 1 or angles.size % self.realizations:
+            raise ValueError(
+                f"realizations must be >= 1 and divide the {angles.size} particles, "
+                f"got {self.realizations}"
+            )
         angles.flags.writeable = False
         object.__setattr__(self, "particles", angles)
         if self.tau <= 0:
@@ -108,15 +133,18 @@ def _wrap_angles(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndarr
     as ``np.mod(angles, 2*pi)`` would; ``work`` is scratch of shape
     ``(2, angles.size)``.
 
-    When every angle is finite and in [0, 2**20 * HI), the remainder is
+    When every angle is finite and in [+0, 2**20 * HI), the remainder is
     ``(x - n*HI) - n*LO`` with ``n = floor(x * (1 / 2*pi))``: every product and
     difference is exact, so it is exactly ``x - n * 2*pi``. ``_INV_TWO_PI``
     lies above ``1 / _TWO_PI``, so ``n`` is never too small; rounding can
     make it one too large, which leaves a negative remainder that one exact
-    addition of 2*pi mends. Any other array goes through ``np.mod``, with its
-    values and warnings.
+    addition of 2*pi mends. Any other array, and any array of fewer than
+    ``_MOD_BELOW`` angles, goes through ``np.mod``, with its values and
+    warnings.
     """
-    if not (angles.min() >= 0.0 and angles.max() < _WRAP_LIMIT):  # a nan fails too
+    if angles.size < _MOD_BELOW or (
+        np.maximum.reduce(angles.view(np.uint64)) >= _WRAP_LIMIT_BITS  # a nan fails too
+    ):
         return np.mod(angles, _TWO_PI, out=angles)
     if work is None:
         work = np.empty((2, angles.size))
@@ -127,7 +155,7 @@ def _wrap_angles(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndarr
     angles -= product
     np.multiply(n, _TWO_PI_LO, out=product)
     angles -= product
-    if angles.min() < 0.0:
+    if np.minimum.reduce(angles) < 0.0:
         np.add(angles, _TWO_PI, out=angles, where=angles < 0.0)
     return angles
 
@@ -148,9 +176,9 @@ def _step_arrays(
 def ensemble_diffusion(ensemble: ClassicalEnsemble, steps: int) -> float:
     """Diffusion-rate estimate ``<(I_t - I0)^2> / (2 t)`` at ``t = steps * tau``.
 
-    The final dispersion of ``ensemble_series`` over ``2 t``. Warns when
-    ``K <= K_c``, where the motion is not globally chaotic and a diffusion
-    rate is not meaningful.
+    The final dispersion of ``ensemble_series`` (averaged over the
+    ensemble's realizations) over ``2 t``. Warns when ``K <= K_c``, where the
+    motion is not globally chaotic and a diffusion rate is not meaningful.
     """
     series = ensemble_series(ensemble, steps)
     if not ensemble.chaotic:
@@ -159,7 +187,7 @@ def ensemble_diffusion(ensemble: ClassicalEnsemble, steps: int) -> float:
             "chaotic and the diffusion estimate is unreliable",
             stacklevel=2,
         )
-    return float(series.dispersion[-1] / (2.0 * steps * ensemble.tau))
+    return float(np.mean(series.dispersion[..., -1]) / (2.0 * steps * ensemble.tau))
 
 
 def ensemble_series(ensemble: ClassicalEnsemble, steps: int) -> DispersionSeries:
@@ -167,9 +195,12 @@ def ensemble_series(ensemble: ClassicalEnsemble, steps: int) -> DispersionSeries
 
     Evolves a copy of the stored angles from action ``I0``. Entries are
     ``(j, <(I - I0)^2>, 1.0, fraction within half a cell of I0)`` so
-    classical curves drop into the same CSV schema and charts. Raises
-    :class:`LostKickError` when ``k > 0`` but ``I0 + k`` and ``I0 - k`` both
-    round to ``I0``: rounding is monotone, so then no kick can move an action.
+    classical curves drop into the same CSV schema and charts. An ensemble of
+    several realizations gives columns of one row per realization, each
+    byte-identical to that realization evolved alone; one realization gives
+    1-D columns. Raises :class:`LostKickError` when ``k > 0`` but ``I0 + k``
+    and ``I0 - k`` both round to ``I0``: rounding is monotone, so then no
+    kick can move an action.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -180,19 +211,29 @@ def ensemble_series(ensemble: ClassicalEnsemble, steps: int) -> DispersionSeries
             "so no action can change"
         )
     angles = ensemble.particles.copy()
-    n = angles.size
-    actions = np.full(n, I0)
-    work = np.empty((2, n))
-    spread = np.empty(n)
-    j = np.arange(steps + 1)
-    dispersion = np.zeros(steps + 1)
-    p_home = np.zeros(steps + 1)
+    rows = ensemble.realizations
+    n = angles.size // rows
+    actions = np.full(angles.size, I0)
+    work = np.empty((2, angles.size))
+    square, spread = work  # the step's scratch, free between steps
+    home = np.empty(angles.size, dtype=bool)
+    square_rows, home_rows = square.reshape(rows, n), home.reshape(rows, n)
+    # per kick and row: the sum of squared spreads and the particles at home
+    sums = np.empty((steps + 1, rows))
+    counts = np.empty((steps + 1, rows), dtype=np.int64)
     for t in range(steps + 1):
         if t:
             _step_arrays(actions, angles, ensemble.k, ensemble.tau, work)
         np.subtract(actions, ensemble.I0, out=spread)
-        np.multiply(spread, spread, out=work[0])
-        dispersion[t] = np.mean(work[0])
-        np.abs(spread, out=spread)
-        p_home[t] = np.count_nonzero(spread <= 0.5) / n
-    return DispersionSeries(j, dispersion, np.ones(steps + 1), p_home)
+        np.multiply(spread, spread, out=square)
+        # a row sums pairwise, as np.mean of a 1-D array does
+        np.add.reduce(square_rows, axis=1, out=sums[t])
+        # |x| <= 0.5 exactly when fl(x * x) <= 0.25: rounding is monotone and
+        # the first double above 0.5 squares to above 0.25
+        np.less_equal(square, 0.25, out=home)
+        np.add.reduce(home_rows, axis=1, out=counts[t])
+    # np.mean's division; one row per realization
+    dispersion, p_home = sums.T / n, counts.T / n
+    if rows == 1:
+        dispersion, p_home = dispersion[0], p_home[0]
+    return DispersionSeries(np.arange(steps + 1), dispersion, np.ones(dispersion.shape), p_home)

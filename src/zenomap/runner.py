@@ -19,11 +19,19 @@ run without random input (a zeno run, or a kicked run whose
 ``measurement_mode`` is ``none``) computes one row, which stands for every
 realization. The aggregate is the mean over the rows, so output bytes depend
 neither on the thread count nor, in a run of one row, on ``realizations``.
-Classical realizations may evolve on a thread pool capped by the
-``ZENO_MAP_THREADS`` environment variable (see ``zenomap.pool``). Kicked
-realizations run one after another on the calling thread: each kick makes
-dozens of small numpy calls, whose hand-offs of the GIL make a second thread
-slower than one. ``ZENO_MAP_THREADS`` is checked on every run all the same.
+
+Classical realizations evolve in row blocks: each block is one
+``ClassicalEnsemble`` holding several realizations' particles, evolved by one
+``ensemble_series`` call, so a step makes one call per numpy operation for
+the whole block. A block holds at most ``_BLOCK_PARTICLES`` particles (at
+least one realization) and no more rows than it takes to give every thread
+a block. Each row is byte-identical to its realization evolved alone, so
+output bytes depend on neither the block shape nor the thread count. Blocks
+may evolve on a thread pool capped by the ``ZENO_MAP_THREADS`` environment
+variable (see ``zenomap.pool``). Kicked realizations run one after another
+on the calling thread: each kick makes dozens of small numpy calls, whose
+hand-offs of the GIL make a second thread slower than one.
+``ZENO_MAP_THREADS`` is checked on every run all the same.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from .measurement import (
     should_measure,
 )
 from .observables import DispersionSeries, dispersion
-from .pool import map_ordered
+from .pool import map_ordered, thread_budget
 from .two_level import ProbabilityPair, measured_populations
 
 # Scenario presets: measurement schedule per curve label.
@@ -66,6 +74,10 @@ PRESETS = {
     "c": {"measurement_mode": "all", "measurement_period": 200},
     "d": {"measurement_mode": "all", "measurement_period": 1},
 }
+
+# Particles one block of classical realizations may hold; it bounds the
+# block's buffers, and with them the run's peak memory.
+_BLOCK_PARTICLES = 20_000
 
 # Free-flight spectrum per ``spectrum`` value.
 _SPECTRA = {
@@ -143,7 +155,12 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # simulators
 
-def _simulate_kicked(config: ExperimentConfig) -> tuple[Callable[[int], DispersionSeries], int]:
+# A run's set-up: the series of a block of realizations (given as a range;
+# one row per realization, or 1-D for one), the number of distinct
+# realizations, and the rows per block.
+_Simulation = tuple[Callable[[range], DispersionSeries], int, int]
+
+def _simulate_kicked(config: ExperimentConfig) -> _Simulation:
     window = config.window()
     window.dispersion_weights  # cached before any realization thread reads it
     kernel = build_kernel(config.k)
@@ -152,8 +169,8 @@ def _simulate_kicked(config: ExperimentConfig) -> tuple[Callable[[int], Dispersi
     home = window.offset(window.m0)
     n = config.n_kicks
 
-    def realization(r: int) -> DispersionSeries:
-        rng = PhaseRandomizer(config.seed, r)
+    def realization(rows: range) -> DispersionSeries:  # one row
+        rng = PhaseRandomizer(config.seed, rows.start)
         state = QuantumState.delta(window)
         disp, norm, p_home = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
         try:
@@ -175,31 +192,41 @@ def _simulate_kicked(config: ExperimentConfig) -> tuple[Callable[[int], Dispersi
         return DispersionSeries(np.arange(n + 1), disp, norm, p_home)
 
     # no readout draws a phase: every realization is realization 0
-    return realization, 1 if schedule.mode == "none" else config.realizations
+    return realization, 1 if schedule.mode == "none" else config.realizations, 1
 
 
-def _simulate_classical(config: ExperimentConfig) -> tuple[Callable[[int], DispersionSeries], int]:
-    def realization(r: int) -> DispersionSeries:
-        ensemble = ClassicalEnsemble.prepared(
-            config.particles, float(config.m0), config.tau, config.k,
-            seed=np.random.SeedSequence(config.seed, spawn_key=(0, r)),
+def _simulate_classical(config: ExperimentConfig) -> _Simulation:
+    I0 = float(config.m0)
+
+    def block(rows: range) -> DispersionSeries:
+        ensemble = ClassicalEnsemble(
+            np.concatenate([
+                ClassicalEnsemble.prepared(
+                    config.particles, I0, config.tau, config.k,
+                    seed=np.random.SeedSequence(config.seed, spawn_key=(0, r)),
+                ).particles
+                for r in rows
+            ]),
+            I0, config.tau, config.k, len(rows),
         )
         return ensemble_series(ensemble, config.n_kicks)
 
-    return realization, config.realizations
+    rows = min(max(1, _BLOCK_PARTICLES // config.particles),
+               math.ceil(config.realizations / thread_budget()))
+    return block, config.realizations, rows
 
 
-def _simulate_zeno(config: ExperimentConfig) -> tuple[Callable[[int], DispersionSeries], int]:
+def _simulate_zeno(config: ExperimentConfig) -> _Simulation:
     # The two-level system read out after every segment, from level 1. For the
     # ladder m in {m0, m0 + 1}, the momentum dispersion reduces to the transfer
     # probability p2, and p_m0 is the survival probability p1. An overflowing
     # phase gives nan rows, which the series rejects.
     j = np.arange(config.n_kicks + 1)
     p1, p2 = measured_populations(ProbabilityPair(1.0, 0.0), 0.5 * config.omega * config.tau, j)
-    return lambda r: DispersionSeries(j, p2, np.ones(j.size), p1), 1
+    return lambda rows: DispersionSeries(j, p2, np.ones(j.size), p1), 1, 1
 
 
-# Run set-up per experiment: (function of realization r, distinct realizations).
+# Run set-up per experiment.
 _SIMULATORS = {
     "zeno": _simulate_zeno,
     "kicked": _simulate_kicked,
@@ -351,19 +378,22 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Execute every realization of ``config`` and aggregate the series.
 
     Deterministic given (config, seed): identical inputs produce identical
-    records regardless of the thread budget. Kicked realizations run serially
-    (see the module docstring).
+    records regardless of the thread budget and of the block shape. Kicked
+    realizations run serially (see the module docstring).
     """
     t0 = time.perf_counter()
-    realization, distinct = _SIMULATORS[config.experiment](config)
+    simulate, distinct, rows = _SIMULATORS[config.experiment](config)
+    blocks = [range(lo, min(lo + rows, distinct)) for lo in range(0, distinct, rows)]
     j = np.arange(config.n_kicks + 1)
     columns = np.empty((3, distinct, j.size))
 
-    def run(r: int) -> None:
-        series = realization(r)
-        columns[:, r] = series.dispersion, series.norm, series.p_m0
+    def run(b: int) -> None:
+        block = blocks[b]
+        series = simulate(block)
+        for column, values in zip(columns, (series.dispersion, series.norm, series.p_m0)):
+            column[block.start:block.stop] = values
 
-    map_ordered(run, distinct, max_threads=1 if config.experiment == "kicked" else None)
+    map_ordered(run, len(blocks), max_threads=1 if config.experiment == "kicked" else None)
     shape = (config.realizations, j.size)
     return RunRecord(
         config=config,

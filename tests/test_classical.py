@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from zenomap import ClassicalEnsemble, LostKickError, ensemble_diffusion
+from zenomap.observables import DispersionSeries
 from zenomap.classical import (
     _INV_TWO_PI,
+    _MOD_BELOW,
     _TWO_PI,
     _WRAP_LIMIT,
     ClassicalParticle,
@@ -25,7 +27,9 @@ def _bits(x: np.ndarray) -> np.ndarray:
 
 
 def _assert_wraps_like_mod(x: np.ndarray) -> None:
-    assert np.array_equal(_bits(_wrap_angles(x.copy())), _bits(np.mod(x, _TWO_PI)))
+    # as given, and repeated up to the size at which the reduction may run
+    for angles in (x, np.resize(x, max(x.size, _MOD_BELOW))):
+        assert np.array_equal(_bits(_wrap_angles(angles.copy())), _bits(np.mod(angles, _TWO_PI)))
 
 
 def _reference_series(ensemble: ClassicalEnsemble, steps: int) -> np.ndarray:
@@ -210,17 +214,28 @@ class TestWrapAngles:
                       np.nextafter(_TWO_PI, 0.0), np.nextafter(_TWO_PI, 7.0)])
         )
 
+    @pytest.mark.parametrize(
+        "size", [1, 10, _MOD_BELOW - 1, _MOD_BELOW, _MOD_BELOW + 1, 5000]
+    )
+    def test_sizes_on_both_sides_of_the_mod_threshold(self, size):
+        # below _MOD_BELOW angles the wrap is one np.mod call, above it the
+        # reduction: the bits agree either way
+        rng = np.random.default_rng(size)
+        _assert_wraps_like_mod(rng.uniform(0.0, 2000.0, size))
+        _assert_wraps_like_mod(rng.uniform(0.0, _WRAP_LIMIT, size))
+
     def test_floor_of_the_quotient_is_never_too_small(self):
         # so the wrap mends only a negative remainder
         assert Fraction(_INV_TWO_PI) > 1 / Fraction(_TWO_PI)
 
     @pytest.mark.parametrize(
         "angles",
-        [[1.0, -3.0], [1.0, 1e308], [1.0, np.inf], [-np.inf, 1.0], [np.nan, 1.0]],
-        ids=["negative", "huge", "inf", "minus_inf", "nan"],
+        [[1.0, -3.0], [1.0, 1e308], [1.0, np.inf], [-np.inf, 1.0], [np.nan, 1.0],
+         [1.0, -0.0]],
+        ids=["negative", "huge", "inf", "minus_inf", "nan", "minus_zero"],
     )
     def test_other_angles_go_through_mod_with_its_warnings(self, angles):
-        x = np.array(angles)
+        x = np.resize(np.array(angles), _MOD_BELOW)
         with warnings.catch_warnings(record=True) as wrapped:
             warnings.simplefilter("always")
             got = _wrap_angles(x.copy())
@@ -241,3 +256,65 @@ class TestWrapAngles:
         assert np.array_equal(series.dispersion, dispersion)
         assert np.array_equal(series.norm, np.ones(61))
         assert np.array_equal(series.p_m0, p_home)
+
+
+def _block(particles: int, realizations: int, I0: float = 500.0) -> list[ClassicalEnsemble]:
+    seeds = [np.random.SeedSequence(5, spawn_key=(0, r)) for r in range(realizations)]
+    return [ClassicalEnsemble.prepared(particles, I0, 1.0, 10.0, seed=seed) for seed in seeds]
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("realizations", [1, 3, 20])
+    @pytest.mark.parametrize("particles", [1, 7, 9, 129, 1000])
+    def test_each_row_is_its_realization_alone(self, particles, realizations):
+        # block sizes fall on both sides of the np.mod threshold, and a row's
+        # own size may fall on the other side from its block's
+        rows = _block(particles, realizations)
+        block = ClassicalEnsemble(
+            np.concatenate([e.particles for e in rows]), 500.0, 1.0, 10.0, realizations
+        )
+        series = ensemble_series(block, 30)
+        shape = (31,) if realizations == 1 else (realizations, 31)
+        for column in ("dispersion", "norm", "p_m0"):
+            assert getattr(series, column).shape == shape
+        for r, alone in enumerate(rows):
+            single = ensemble_series(alone, 30)
+            dispersion, p_home = _reference_series(alone, 30)
+            got = series if realizations == 1 else DispersionSeries(
+                series.j, series.dispersion[r], series.norm[r], series.p_m0[r]
+            )
+            assert np.array_equal(_bits(got.dispersion), _bits(single.dispersion))
+            assert np.array_equal(_bits(got.p_m0), _bits(single.p_m0))
+            assert np.array_equal(_bits(single.dispersion), _bits(dispersion))
+            assert np.array_equal(_bits(single.p_m0), _bits(p_home))
+            assert np.array_equal(got.norm, np.ones(31))
+
+    def test_rows_that_go_through_mod_keep_their_bits(self):
+        # I0 = 0: angles go negative, so every block wraps with np.mod
+        rows = _block(300, 4, I0=0.0)
+        block = ClassicalEnsemble(np.concatenate([e.particles for e in rows]), 0.0, 1.0, 10.0, 4)
+        series = ensemble_series(block, 20)
+        for r, alone in enumerate(rows):
+            single = ensemble_series(alone, 20)
+            assert np.array_equal(_bits(series.dispersion[r]), _bits(single.dispersion))
+
+    def test_diffusion_of_a_block_averages_its_rows(self):
+        rows = _block(400, 3)
+        block = ClassicalEnsemble(np.concatenate([e.particles for e in rows]), 500.0, 1.0, 10.0, 3)
+        finals = [ensemble_series(e, 40).dispersion[-1] for e in rows]
+        assert ensemble_diffusion(block, 40) == np.mean(finals) / 80.0
+
+    def test_particles_stay_flat(self):
+        block = ClassicalEnsemble(np.zeros(12), 0.0, 1.0, 10.0, 4)
+        assert block.particles.shape == (12,)
+        assert block.realizations == 4
+
+    @pytest.mark.parametrize("realizations", [0, -1])
+    def test_fewer_than_one_realization_rejected(self, realizations):
+        with pytest.raises(ValueError, match="realizations"):
+            ClassicalEnsemble(np.zeros(6), 0.0, 1.0, 10.0, realizations)
+
+    @pytest.mark.parametrize("particles, realizations", [(7, 3), (10, 4), (1, 2)])
+    def test_particle_count_must_divide_into_the_realizations(self, particles, realizations):
+        with pytest.raises(ValueError, match="divide"):
+            ClassicalEnsemble(np.zeros(particles), 0.0, 1.0, 10.0, realizations)

@@ -1,8 +1,10 @@
 """Config parsing, experiment execution, CSV and SVG output."""
 
 import dataclasses
+import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -11,13 +13,16 @@ import zenomap.kick_engine as kick_engine
 import zenomap.pool as pool
 import zenomap.runner as runner
 from zenomap import (
+    ClassicalEnsemble,
     ConfigError,
+    NonFiniteError,
     ProbabilityPair,
     QuantumState,
     SpectrumModel,
     TruncationOverflowError,
 )
 from zenomap.chart import emit_chart, render_chart
+from zenomap.classical import ensemble_series
 from zenomap.measurement import PhaseRandomizer
 from zenomap.observables import DispersionSeries
 from zenomap.runner import (
@@ -464,6 +469,93 @@ class TestRunExperiment:
         }
         for column in ("dispersion", "norm", "p_m0"):
             assert np.array_equal(getattr(series, column), getattr(expected, column))
+
+
+def _alone(config: ExperimentConfig, r: int) -> DispersionSeries:
+    """Realization ``r`` of a classical run, evolved as an ensemble of its own."""
+    ensemble = ClassicalEnsemble.prepared(
+        config.particles, float(config.m0), config.tau, config.k,
+        seed=np.random.SeedSequence(config.seed, spawn_key=(0, r)),
+    )
+    return ensemble_series(ensemble, config.n_kicks)
+
+
+def _spied_blocks(monkeypatch) -> list:
+    """Record (particles, realizations, steps) of every ``runner.ensemble_series`` call."""
+    calls = []
+    real = runner.ensemble_series
+
+    def spied(ensemble, steps):
+        calls.append((len(ensemble.particles), ensemble.realizations, steps))
+        return real(ensemble, steps)
+
+    monkeypatch.setattr(runner, "ensemble_series", spied)
+    return calls
+
+
+class TestClassicalBlocks:
+    @pytest.mark.parametrize("threads, rows, blocks", [
+        ("1", 1, [1] * 7),
+        ("1", 2, [2, 2, 2, 1]),  # a partial last block
+        ("1", 7, [7]),
+        ("2", 2, [2, 2, 2, 1]),
+        ("2", 7, [4, 3]),  # no more rows than it takes to give each thread a block
+    ])
+    def test_rows_equal_each_realization_alone(self, monkeypatch, threads, rows, blocks):
+        config = ExperimentConfig("classical", particles=300, n_kicks=30, realizations=7, seed=4)
+        monkeypatch.setenv("ZENO_MAP_THREADS", threads)
+        monkeypatch.setattr(runner, "_BLOCK_PARTICLES", rows * config.particles)
+        calls = _spied_blocks(monkeypatch)
+        runs = run_experiment(config).realizations
+        assert calls == [(b * config.particles, b, config.n_kicks) for b in blocks]
+        for r in range(config.realizations):
+            alone = _alone(config, r)
+            for column in ("dispersion", "norm", "p_m0"):
+                assert np.array_equal(
+                    getattr(runs, column)[r].view(np.int64), getattr(alone, column).view(np.int64)
+                )
+
+    def test_budget_below_one_realization_gives_one_row(self, monkeypatch):
+        config = ExperimentConfig("classical", particles=300, n_kicks=5, realizations=3)
+        monkeypatch.setattr(runner, "_BLOCK_PARTICLES", 100)
+        calls = _spied_blocks(monkeypatch)
+        run_experiment(config)
+        assert calls == [(300, 1, 5)] * 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_every_particle_step_goes_through_ensemble_series(self, monkeypatch, threads):
+        # The benchmark's tracer wraps runner.ensemble_series and gates on
+        # classical.particle_steps, the sum of len(particles) * steps over its
+        # calls; a runner that bypasses it must fail here.
+        config = ExperimentConfig("classical", particles=10_000, n_kicks=3, realizations=20,
+                                  seed=1)
+        monkeypatch.setenv("ZENO_MAP_THREADS", threads)
+        expected = run_experiment(config).aggregate
+        calls = _spied_blocks(monkeypatch)
+        series = run_experiment(config).aggregate
+        rows = min(max(1, runner._BLOCK_PARTICLES // config.particles),
+                   math.ceil(config.realizations / int(threads)))
+        assert sum(particles * steps for particles, _, steps in calls) == 10_000 * 3 * 20
+        assert len(calls) == math.ceil(config.realizations / rows)
+        for column in ("dispersion", "norm", "p_m0"):
+            assert np.array_equal(getattr(series, column), getattr(expected, column))
+
+    @pytest.mark.parametrize("threads, rows", [("1", 1), ("1", 2), ("1", 7), ("2", 7)])
+    def test_lowest_failing_realization_is_raised(self, monkeypatch, threads, rows):
+        # tau * action overflows once |action| > 36: realization 0 never gets
+        # there, realization 1 first fails at kick 26 and realization 2 at kick 6
+        config = ExperimentConfig("classical", m0=0, tau=5e306, particles=1, n_kicks=40,
+                                  realizations=7, seed=3)
+        monkeypatch.setenv("ZENO_MAP_THREADS", threads)
+        monkeypatch.setattr(runner, "_BLOCK_PARTICLES", rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NonFiniteError) as excinfo:
+                run_experiment(config)
+            with pytest.raises(NonFiniteError) as alone:
+                _alone(config, 1)
+            _alone(config, 0)
+        assert str(excinfo.value) == str(alone.value) == "dispersion is nan at kick j = 26"
 
 
 class TestMapOrdered:
