@@ -1,9 +1,11 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(probability came within one kick of the window edge, the norm drifted, a
-series value is not finite, or a classical kick is below the rounding of the
-action), 4 I/O error.
+Exit codes: 0 success, 2 configuration error (a run too large for memory
+too), 3 numerical failure (probability came within one kick of the window
+edge, the norm drifted, a series value is not finite, or a classical kick is
+below the rounding of the action), 4 I/O error. A command runs with numpy's
+overflow and invalid-value warnings off, since it rejects non-finite output
+itself.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import dataclasses
 import math
 import sys
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .chart import emit_chart
 from .classical import ClassicalEnsemble, ensemble_diffusion
@@ -181,7 +185,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # every command rejects non-finite output itself (exit 3), so numpy's
+        # overflow warnings would only repeat that failure with source lines
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, argparse.ArgumentError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
@@ -193,6 +200,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_IO
     except ValueError as err:
         print(f"invalid arguments: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as err:  # a run too large for this machine
+        print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -1,22 +1,21 @@
 """The thread budget and the one way the package spreads work over it.
 
 ``ZENO_MAP_THREADS`` caps the number of threads (default: the CPUs the
-process may run on). Work is split into indexed pieces whose results come
-back in index order, so what a caller builds from them does not depend on
-the thread count.
+process may run on). :func:`map_chunks` alone decides how many items each
+thread takes; callers write each chunk into their own slice of the output,
+so what they build does not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import Callable, TypeVar
+from typing import Callable, Optional
 
 from .errors import ConfigError
 
 THREADS_ENV = "ZENO_MAP_THREADS"
-
-T = TypeVar("T")
 
 
 def thread_budget() -> int:
@@ -35,21 +34,28 @@ def thread_budget() -> int:
     return threads
 
 
-def map_ordered(fn: Callable[[int], T], count: int, max_threads: int | None = None) -> list[T]:
-    """``[fn(0), ..., fn(count - 1)]``, on up to :func:`thread_budget` threads,
-    or ``max_threads`` if that is fewer; the budget is checked either way.
+def map_chunks(fn: Callable[[int, int], None], total: int, cap: Optional[int] = None) -> None:
+    """Call ``fn(lo, hi)`` on contiguous chunks that cover ``range(total)``.
 
-    With one usable thread (or one piece) no pool is started. When a piece
-    raises, the pieces not yet started are cancelled and the error of the
-    lowest failing index is raised, as in a serial run: pieces start in index
-    order, so every piece before a failed one runs to its end.
+    A chunk holds ``min(cap, ceil(total / thread_budget()))`` items (the last
+    one may hold fewer). The chunks start in order on a pool of ``min(threads,
+    chunks)`` threads, each in a copy of the caller's context, so
+    ``np.errstate`` carries over; one chunk or one thread runs inline. When a
+    chunk raises, the chunks not yet started are cancelled and the lowest
+    failing chunk's error is raised, as in a serial run.
     """
-    workers = min(thread_budget(), count, max_threads or count)
+    threads = thread_budget()
+    size = min(cap or total, -(-total // threads))
+    chunks = [(lo, min(lo + size, total)) for lo in range(0, total, size)]
+    workers = min(threads, len(chunks))
     if workers <= 1:
-        return [fn(i) for i in range(count)]
+        for lo, hi in chunks:
+            fn(lo, hi)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, i) for i in range(count)]
+        futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in chunks]
         wait(futures, return_when=FIRST_EXCEPTION)
         for future in futures:
             future.cancel()
-        return [future.result() for future in futures]
+        for future in futures:
+            future.result()

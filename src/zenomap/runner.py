@@ -23,15 +23,15 @@ neither on the thread count nor, in a run of one row, on ``realizations``.
 Classical realizations evolve in row blocks: each block is one
 ``ClassicalEnsemble`` holding several realizations' particles, evolved by one
 ``ensemble_series`` call, so a step makes one call per numpy operation for
-the whole block. A block holds at most ``_BLOCK_PARTICLES`` particles (at
-least one realization) and no more rows than it takes to give every thread
-a block. Each row is byte-identical to its realization evolved alone, so
-output bytes depend on neither the block shape nor the thread count. Blocks
-may evolve on a thread pool capped by the ``ZENO_MAP_THREADS`` environment
-variable (see ``zenomap.pool``). Kicked realizations run one after another
-on the calling thread: each kick makes dozens of small numpy calls, whose
-hand-offs of the GIL make a second thread slower than one.
-``ZENO_MAP_THREADS`` is checked on every run all the same.
+the whole block. The blocks are ``zenomap.pool.map_chunks`` chunks of the
+realizations, capped at ``_BLOCK_PARTICLES`` particles (at least one
+realization), on a thread pool capped by the ``ZENO_MAP_THREADS``
+environment variable. Each row is byte-identical to its realization evolved
+alone, so output bytes depend on neither the block shape nor the thread
+count. Kicked realizations run one after another on the calling thread:
+each kick makes dozens of small numpy calls, whose hand-offs of the GIL make
+a second thread slower than one. ``ZENO_MAP_THREADS`` is checked on every
+run all the same.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .measurement import (
     should_measure,
 )
 from .observables import DispersionSeries, dispersion
-from .pool import map_ordered, thread_budget
+from .pool import map_chunks, thread_budget
 from .two_level import ProbabilityPair, measured_populations
 
 # Scenario presets: measurement schedule per curve label.
@@ -155,24 +155,25 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 # simulators
 
-# A run's set-up: the series of a block of realizations (given as a range;
-# one row per realization, or 1-D for one), the number of distinct
-# realizations, and the rows per block.
-_Simulation = tuple[Callable[[range], DispersionSeries], int, int]
+# Each simulator returns the run's (3, distinct, n_kicks + 1) rows: dispersion,
+# norm and p_m0, one row per distinct realization.
 
-def _simulate_kicked(config: ExperimentConfig) -> _Simulation:
+def _simulate_kicked(config: ExperimentConfig) -> np.ndarray:
+    # Serial, on this thread (see the module docstring). Each row is checked
+    # before the next realization starts, so the lowest failing one wins.
     window = config.window()
-    window.dispersion_weights  # cached before any realization thread reads it
     kernel = build_kernel(config.k)
     spectrum = config.spectrum_model(window)
     schedule = config.schedule()
     home = window.offset(window.m0)
     n = config.n_kicks
-
-    def realization(rows: range) -> DispersionSeries:  # one row
-        rng = PhaseRandomizer(config.seed, rows.start)
+    j = np.arange(n + 1)
+    # no readout draws a phase: every realization is realization 0
+    rows = np.empty((3, 1 if schedule.mode == "none" else config.realizations, n + 1))
+    for r in range(rows.shape[1]):
+        rng = PhaseRandomizer(config.seed, r)
         state = QuantumState.delta(window)
-        disp, norm, p_home = np.zeros(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+        disp, norm, p_home = rows[:, r]
         try:
             for kick in range(n + 1):
                 if kick:
@@ -189,44 +190,44 @@ def _simulate_kicked(config: ExperimentConfig) -> _Simulation:
                 edge=err.edge,
                 occupation=err.occupation,
             ) from err
-        return DispersionSeries(np.arange(n + 1), disp, norm, p_home)
-
-    # no readout draws a phase: every realization is realization 0
-    return realization, 1 if schedule.mode == "none" else config.realizations, 1
+        DispersionSeries(j, disp, norm, p_home)
+    return rows
 
 
-def _simulate_classical(config: ExperimentConfig) -> _Simulation:
+def _simulate_classical(config: ExperimentConfig) -> np.ndarray:
     I0 = float(config.m0)
+    rows = np.empty((3, config.realizations, config.n_kicks + 1))
 
-    def block(rows: range) -> DispersionSeries:
+    def block(lo: int, hi: int) -> None:
         ensemble = ClassicalEnsemble(
             np.concatenate([
                 ClassicalEnsemble.prepared(
                     config.particles, I0, config.tau, config.k,
                     seed=np.random.SeedSequence(config.seed, spawn_key=(0, r)),
                 ).particles
-                for r in rows
+                for r in range(lo, hi)
             ]),
-            I0, config.tau, config.k, len(rows),
+            I0, config.tau, config.k, hi - lo,
         )
-        return ensemble_series(ensemble, config.n_kicks)
+        series = ensemble_series(ensemble, config.n_kicks)
+        for column, values in zip(rows, (series.dispersion, series.norm, series.p_m0)):
+            column[lo:hi] = values
 
-    rows = min(max(1, _BLOCK_PARTICLES // config.particles),
-               math.ceil(config.realizations / thread_budget()))
-    return block, config.realizations, rows
+    map_chunks(block, config.realizations, cap=max(1, _BLOCK_PARTICLES // config.particles))
+    return rows
 
 
-def _simulate_zeno(config: ExperimentConfig) -> _Simulation:
+def _simulate_zeno(config: ExperimentConfig) -> np.ndarray:
     # The two-level system read out after every segment, from level 1. For the
     # ladder m in {m0, m0 + 1}, the momentum dispersion reduces to the transfer
     # probability p2, and p_m0 is the survival probability p1. An overflowing
-    # phase gives nan rows, which the series rejects.
+    # phase gives nan rows, which the record rejects.
     j = np.arange(config.n_kicks + 1)
     p1, p2 = measured_populations(ProbabilityPair(1.0, 0.0), 0.5 * config.omega * config.tau, j)
-    return lambda rows: DispersionSeries(j, p2, np.ones(j.size), p1), 1, 1
+    return np.stack([p2, np.ones(j.size), p1])[:, None]
 
 
-# Run set-up per experiment.
+# Simulator per experiment.
 _SIMULATORS = {
     "zeno": _simulate_zeno,
     "kicked": _simulate_kicked,
@@ -378,28 +379,19 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Execute every realization of ``config`` and aggregate the series.
 
     Deterministic given (config, seed): identical inputs produce identical
-    records regardless of the thread budget and of the block shape. Kicked
-    realizations run serially (see the module docstring).
+    records regardless of the thread budget and of how a simulator splits
+    its work (see the module docstring).
     """
     t0 = time.perf_counter()
-    simulate, distinct, rows = _SIMULATORS[config.experiment](config)
-    blocks = [range(lo, min(lo + rows, distinct)) for lo in range(0, distinct, rows)]
+    thread_budget()  # an invalid ZENO_MAP_THREADS fails serial runs too
+    rows = _SIMULATORS[config.experiment](config)
     j = np.arange(config.n_kicks + 1)
-    columns = np.empty((3, distinct, j.size))
-
-    def run(b: int) -> None:
-        block = blocks[b]
-        series = simulate(block)
-        for column, values in zip(columns, (series.dispersion, series.norm, series.p_m0)):
-            column[block.start:block.stop] = values
-
-    map_ordered(run, len(blocks), max_threads=1 if config.experiment == "kicked" else None)
     shape = (config.realizations, j.size)
     return RunRecord(
         config=config,
-        realizations=DispersionSeries(j, *(np.broadcast_to(c, shape) for c in columns)),
+        realizations=DispersionSeries(j, *(np.broadcast_to(c, shape) for c in rows)),
         # the mean of one row is that row, bit for bit (no column holds -0.0)
-        aggregate=DispersionSeries(j, *(c.mean(axis=0) for c in columns)),
+        aggregate=DispersionSeries(j, *(c.mean(axis=0) for c in rows)),
         wall_time=time.perf_counter() - t0,
     )
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pool import map_ordered, thread_budget
+from .pool import map_chunks
 
 _PAIR_TOL = 1e-12
 
@@ -175,10 +175,6 @@ def monte_carlo_measured_evolve(
             np.maximum(a1, 0.0, out=q1)
 
     if n:
-        workers = min(thread_budget(), trials)
-        map_ordered(
-            lambda i: evolve_chunk(trials * i // workers, trials * (i + 1) // workers),
-            workers,
-        )
+        map_chunks(evolve_chunk, trials)
     total = p1 + p2
     return ProbabilityPair(float(np.mean(p1 / total)), float(np.mean(p2 / total)))

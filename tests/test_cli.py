@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import os
+import warnings
 
 import pytest
 
@@ -253,6 +254,64 @@ class TestClassicalCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("numerical failure: dispersion is nan")
         assert captured.out == ""
+
+
+# Every size here is at least 10**17 elements: no machine can map such an
+# array, so the allocation fails at once instead of trying to fill memory.
+@pytest.mark.parametrize(
+    "document, command",
+    [
+        ("experiment = kicked\nwindow_halfwidth = 100000000000000000\n", None),
+        ("experiment = kicked\nn_kicks = 100000000000000000\nwindow_halfwidth = 100\n", None),
+        ("experiment = classical\nn_kicks = 100000000000000000\nparticles = 10\n", None),
+        ("experiment = zeno\nn_kicks = 100000000000000000\n", None),
+        (None, "classical --particles 100000000000000000"),
+    ],
+    ids=["kicked-window", "kicked-kicks", "classical-kicks", "zeno-kicks", "classical-particles"],
+)
+def test_run_too_large_for_memory_is_config_error(document, command, tmp_path, capsys):
+    if document is not None:
+        path = tmp_path / "huge.cfg"
+        path.write_text(document)
+        argv = ["run", str(path)]
+    else:
+        argv = command.split()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: Unable to allocate")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "document, argv, threads, message",
+    [
+        (None, "classical --tau 1e308 --particles 200 --steps 20", "1",
+         "dispersion is nan at kick j = 2"),
+        ("experiment = kicked\ntau = 1e308\nn_kicks = 3\nwindow_halfwidth = 50\n", None, "1",
+         "norm drifted by nan, beyond 1e-06"),
+        # classical blocks on pool threads, which run in the caller's error state
+        ("experiment = classical\ntau = 1e308\nparticles = 200\nn_kicks = 20\n"
+         "realizations = 4\n", None, "2", "dispersion is nan at kick j = 2"),
+    ],
+    ids=["classical", "kicked", "classical-pooled"],
+)
+def test_numerical_failure_prints_no_numpy_warnings(
+    document, argv, threads, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setenv("ZENO_MAP_THREADS", threads)
+    if document is not None:
+        path = tmp_path / "huge_tau.cfg"
+        path.write_text(document)
+        argv = f"run {path}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv.split())
+    assert code == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.err == f"numerical failure: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

@@ -351,6 +351,12 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(_small_config())
 
+    def test_zeno_rows_are_checked_by_the_record(self):
+        # the phase overflows, so the closed form is nan from the first segment
+        config = ExperimentConfig("zeno", tau=1e308, omega=1e308, n_kicks=5)
+        with pytest.raises(NonFiniteError, match=r"^dispersion is nan at kick j = 1$"):
+            run_experiment(config)
+
     def test_truncation_overflow_recommends_wider_window(self):
         config = _small_config(
             k=5.0, n_kicks=300, window_halfwidth=30, measurement_mode="none",
@@ -558,38 +564,86 @@ class TestClassicalBlocks:
         assert str(excinfo.value) == str(alone.value) == "dispersion is nan at kick j = 26"
 
 
-class TestMapOrdered:
+class TestMapChunks:
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_failing_piece_cancels_the_pieces_not_started(self, monkeypatch, failing):
-        # With failing = 1, piece 0 is still running when piece 1 fails.
+    def test_failing_chunk_cancels_the_chunks_not_started(self, monkeypatch, failing):
+        # With failing = 1, chunk 0 is still running when chunk 1 fails.
         monkeypatch.setenv("ZENO_MAP_THREADS", "2")
         started = []
 
-        def piece(i):
-            started.append(i)
-            if i == failing:
-                raise RuntimeError(f"piece {i} failed")
-            time.sleep(0.3 if i == 0 else 0.01)
-            return i
+        def chunk(lo, hi):
+            started.append(lo)
+            if lo == failing:
+                raise RuntimeError(f"chunk {lo} failed")
+            time.sleep(0.3 if lo == 0 else 0.01)
 
-        with pytest.raises(RuntimeError, match=f"piece {failing}"):
-            pool.map_ordered(piece, 40)
+        with pytest.raises(RuntimeError, match=f"chunk {failing}"):
+            pool.map_chunks(chunk, 40, cap=1)
         assert len(started) < 16
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_lowest_failing_piece_is_raised(self, monkeypatch, threads):
-        # Piece 2 fails first in time; a serial run raises piece 1's error.
+    def test_lowest_failing_chunk_is_raised(self, monkeypatch, threads):
+        # Chunk 2 fails first in time; a serial run raises chunk 1's error.
         monkeypatch.setenv("ZENO_MAP_THREADS", threads)
 
-        def piece(i):
-            if i == 1:
+        def chunk(lo, hi):
+            if lo == 1:
                 time.sleep(0.2)
-            if i in (1, 2):
-                raise RuntimeError(f"piece {i} failed")
-            return i
+            if lo in (1, 2):
+                raise RuntimeError(f"chunk {lo} failed")
 
-        with pytest.raises(RuntimeError, match="piece 1"):
-            pool.map_ordered(piece, 6)
+        with pytest.raises(RuntimeError, match="chunk 1"):
+            pool.map_chunks(chunk, 6, cap=1)
+
+    @pytest.mark.parametrize("total, threads, cap, chunks", [
+        (7, 1, None, [(0, 7)]),
+        (7, 2, None, [(0, 4), (4, 7)]),  # a partial last chunk
+        (2, 4, None, [(0, 1), (1, 2)]),  # fewer items than threads
+        (5, 2, 1, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+        (10, 2, 8, [(0, 5), (5, 10)]),  # a cap above total / threads
+        (7, 2, 2, [(0, 2), (2, 4), (4, 6), (6, 7)]),
+        (1001, 3, None, [(0, 334), (334, 668), (668, 1001)]),
+        (100_000, 2, None, [(0, 50_000), (50_000, 100_000)]),
+    ])
+    def test_chunk_layout(self, monkeypatch, total, threads, cap, chunks):
+        monkeypatch.setenv("ZENO_MAP_THREADS", str(threads))
+        started = []
+        real_pool = pool.ThreadPoolExecutor
+
+        def counted_pool(max_workers):
+            started.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", counted_pool)
+        calls = []
+        assert pool.map_chunks(lambda lo, hi: calls.append((lo, hi)), total, cap) is None
+        assert sorted(calls) == chunks
+        workers = min(threads, len(chunks))
+        assert started == ([workers] if workers > 1 else [])
+
+    @pytest.mark.parametrize("total, threads", [(1, 2), (9, 1)])
+    def test_one_chunk_or_one_thread_starts_no_pool(self, monkeypatch, total, threads):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setenv("ZENO_MAP_THREADS", str(threads))
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
+        calls = []
+        pool.map_chunks(lambda lo, hi: calls.append((lo, hi)), total)
+        assert calls == [(0, total)]
+
+    def test_chunks_run_in_the_callers_numpy_error_state(self, monkeypatch):
+        monkeypatch.setenv("ZENO_MAP_THREADS", "2")
+        seen = []
+        with np.errstate(over="ignore", invalid="raise"):
+            pool.map_chunks(lambda lo, hi: seen.append(np.geterr()), 4)
+        assert len(seen) == 2
+        assert all(err["over"] == "ignore" and err["invalid"] == "raise" for err in seen)
+
+    def test_invalid_thread_budget_rejected(self, monkeypatch):
+        monkeypatch.setenv("ZENO_MAP_THREADS", "0")
+        with pytest.raises(ConfigError):
+            pool.map_chunks(lambda lo, hi: None, 1)
 
 
 class TestScenarioOrdering:
