@@ -24,10 +24,13 @@ end band of ``d_max`` bins whose probability is below ``_SLICE_EPS``
 (1e-30), zeroing it; a kick thus discards at most ``2 * _SLICE_EPS`` of
 norm.
 
-A narrow slice is convolved by ``np.convolve``. A slice of at least
-``_BLOCKED_MIN_BINS`` bins is cut into blocks of ``q`` bins, and the kick
-becomes two products of those blocks with banded Toeplitz matrices built
-from the weights, which BLAS computes several times faster. The two agree
+Every kick, of any slice and any kernel, is one blocked product: the real
+and imaginary parts of the slice are cut into blocks of ``_BLOCK`` bins,
+and each output block is its own input block times a banded Toeplitz
+matrix of the weights, plus the ``2 d_max`` bins before it times the rest
+of that matrix, in slabs of at most ``_BLOCK`` rows. On a wide slice BLAS
+computes this several times faster than ``np.convolve``; on a slice of a
+few bins it costs a few microseconds more. It agrees with ``np.convolve``
 to within a few units of roundoff (below 2e-16 absolute on a unit-norm
 state); every output bin that takes a single nonzero product, as after a
 kick of a one-bin state, is the same bit for bit.
@@ -59,14 +62,8 @@ _RESCALE = 1e250
 # A kick zeroes an end band of its support that carries less probability
 # than this and shrinks the support past it.
 _SLICE_EPS = 1e-30
-# A kick convolves a slice at least this wide as a blocked matrix product;
-# for k from 0.5 to 30 the two ways tie between 256 and 384 bins.
-_BLOCKED_MIN_BINS = 320
-# Blocks are this many bins, or the kernel span 2 d_max if that is more.
+# The blocked kick cuts a slice into blocks of this many bins.
 _BLOCK = 64
-# A kernel whose blocks would be wider than this (d_max > 64, k above about
-# 32) keeps np.convolve at any width, so its Toeplitz matrix stays small.
-_MAX_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -225,24 +222,28 @@ class KickKernel:
         return np.arange(-self.d_max, self.d_max + 1)
 
     @cached_property
-    def toeplitz(self) -> np.ndarray | None:
-        """The banded matrix of the blocked kick, read-only, built at first use;
-        None for a kernel wider than ``_MAX_BLOCK``.
+    def toeplitz(self) -> np.ndarray:
+        """The banded matrix of the blocked kick, read-only, built at first use.
 
         ``T[j, i] = c[i + 2 d_max - j]`` where that index lies in the kernel,
-        and 0 elsewhere, for ``2 d_max + q`` rows and ``q = max(_BLOCK,
-        2 d_max)`` columns. Its last ``q`` rows map a block onto itself, its
-        first ``2 d_max`` rows map the end of the block before onto it.
+        and 0 elsewhere, for ``2 d_max + _BLOCK`` rows and ``_BLOCK`` columns.
+        Its last ``_BLOCK`` rows map a block onto itself, its first
+        ``2 d_max`` rows map the ``2 d_max`` bins before the block onto it.
+        It has ``_BLOCK`` columns for every kernel, so at ``k = 1000`` it
+        holds 1.1 MiB.
         """
         span = self.coefficients.size - 1
-        q = max(_BLOCK, span)
-        if q > _MAX_BLOCK:
-            return None
-        lags = np.arange(q) - np.arange(span + q)[:, None] + span
+        lags = np.arange(_BLOCK) - np.arange(span + _BLOCK)[:, None] + span
         inside = (lags >= 0) & (lags <= span)
         matrix = np.where(inside, self.coefficients[np.clip(lags, 0, span)], 0.0)
         matrix.flags.writeable = False
         return matrix
+
+    @cached_property
+    def adjoint(self) -> "KickKernel":
+        """The kernel of the inverse kick, ``J_{-d}``: the order-reversed
+        coefficients, built once so that its Toeplitz matrix is built once."""
+        return KickKernel(self.coefficients[::-1])
 
 
 def _bessel_orders(k: float, n: int) -> np.ndarray:
@@ -367,10 +368,12 @@ def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, 
     Each part is padded with zeros and cut into ``rows`` blocks of ``q``
     bins, and the two stacked as ``2 * rows`` rows. Every block's own share
     of its output block is one product with the last ``q`` rows of the
-    matrix; the end of the block before adds its share through the first
-    ``2 d_max`` rows. The padding leaves at least ``2 d_max`` zeros at the
-    end of the last real block, so nothing spills into the first imaginary
-    block.
+    matrix. The ``2 d_max`` bins before the block add theirs in slabs of at
+    most ``q`` rows of the matrix: slab ``m`` takes the end of the block
+    ``m`` before, a single slab where ``2 d_max <= q``. Every product reads
+    input within ``2 d_max`` bins before its output, and the padding leaves
+    at least ``2 d_max`` zeros at the end of the last real block, so nothing
+    spills into the imaginary blocks.
     """
     q = toeplitz.shape[1]
     span = toeplitz.shape[0] - q
@@ -383,7 +386,9 @@ def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, 
     flat[rows * q:rows * q + n] = a.imag
     flat[rows * q + n:] = 0.0
     y = x @ toeplitz[span:]
-    y[1:] += x[:-1, q - span:] @ toeplitz[:span]
+    for m, top in enumerate(range(span, 0, -q), 1):
+        bottom = max(top - q, 0)
+        y[m:] += x[:-m, q - top + bottom:] @ toeplitz[bottom:top]
     flat = y.reshape(-1)
     return flat[:n + span], flat[rows * q:rows * q + n + span]
 
@@ -395,25 +400,18 @@ def _convolve(
 
     The full convolution of the support slice covers ``d_max`` more bins on
     each side. A slice clipped at a window edge may be shorter than the
-    kernel, where ``"same"`` mode would return the kernel's length, so the
-    full mode is taken and clipped here. End bands of ``d_max`` bins below
-    ``_SLICE_EPS`` are then zeroed and dropped.
+    kernel, so the full convolution is taken and clipped here. End bands of
+    ``d_max`` bins below ``_SLICE_EPS`` are then zeroed and dropped.
     """
-    coefficients = kernel.coefficients
-    d_max = coefficients.size // 2
+    d_max = kernel.coefficients.size // 2
     lo, hi = support
     size = amplitudes.size
     start, stop = max(lo - d_max, 0), min(hi + d_max, size)
     out = _zero_outside(size, (start, stop))
     shift = lo - d_max
-    toeplitz = kernel.toeplitz if hi - lo >= _BLOCKED_MIN_BINS else None
-    if toeplitz is None:
-        full = np.convolve(amplitudes[lo:hi], coefficients)
-        out[start:stop] = full[start - shift:stop - shift]
-    else:
-        real, imag = _blocked_convolve(amplitudes[lo:hi], toeplitz)
-        out.real[start:stop] = real[start - shift:stop - shift]
-        out.imag[start:stop] = imag[start - shift:stop - shift]
+    real, imag = _blocked_convolve(amplitudes[lo:hi], kernel.toeplitz)
+    out.real[start:stop] = real[start - shift:stop - shift]
+    out.imag[start:stop] = imag[start - shift:stop - shift]
     if stop - start > d_max:
         band = out[start:start + d_max]
         if np.vdot(band, band).real < _SLICE_EPS:
@@ -508,13 +506,14 @@ def adjoint_step(
     """Exact inverse of :func:`step`: conjugate flight, then reversed kernel.
 
     The kick matrix is real orthogonal, so its inverse is the transpose,
-    i.e. a convolution with the order-reversed coefficients ``J_{-d}``.
-    Running n steps forward and n adjoint steps back recovers the initial
-    state up to roundoff as long as no measurement intervened.
+    i.e. a convolution with the order-reversed coefficients ``J_{-d}``
+    (:attr:`KickKernel.adjoint`). Running n steps forward and n adjoint
+    steps back recovers the initial state up to roundoff as long as no
+    measurement intervened.
     """
     _check_spectrum(state, spectrum)
     _check_kick(state, kernel)
     undone = state.amplitudes.copy()
     _fly(undone, state.support, np.conj(spectrum.multiplier))
-    out, support = _convolve(undone, state.support, KickKernel(kernel.coefficients[::-1]))
+    out, support = _convolve(undone, state.support, kernel.adjoint)
     return QuantumState._trusted(state.window, out, state.time_index - 1, support)

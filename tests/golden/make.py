@@ -5,8 +5,8 @@
 reruns the same cases and compares. The cases are:
 
 - presets a-d on the rotator and the random spectrum, at halfwidth 300,
-  30 kicks and 3 realizations, so wide slices take the blocked kick and
-  preset d nears the window's edge;
+  30 kicks and 3 realizations, so slices from one bin to hundreds of bins
+  take the blocked kick and preset d nears the window's edge;
 - a classical and a zeno run document;
 - ``zenomap zeno --n 64 --trials 20000 --out`` and the stdout of
   ``zenomap classical``.

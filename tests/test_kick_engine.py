@@ -23,7 +23,7 @@ from zenomap import (
     step,
 )
 from zenomap.kick_engine import (
-    _BLOCKED_MIN_BINS,
+    _BLOCK,
     _KERNEL_EPS,
     _SLICE_EPS,
     KickKernel,
@@ -211,8 +211,13 @@ class TestApplyKick:
         assert np.array_equal(out_a.amplitudes, out_b.amplitudes)
 
 
+# Kick strengths and the slabs of _BLOCK rows that the bins before a block
+# take in the blocked kick: ceil(2 d_max / _BLOCK).
+_SLABS = {0.0: 0, 0.5: 1, 3.0: 1, 10.0: 1, 20.0: 2, 37.3: 3, 100.0: 5}
+
+
 class TestBlockedKick:
-    @pytest.mark.parametrize("k", [0.5, 3.0, 10.0, 37.3])
+    @pytest.mark.parametrize("k", _SLABS)
     def test_agrees_with_np_convolve(self, k, monkeypatch):
         blocked = []
         real = kick_engine._blocked_convolve
@@ -224,9 +229,10 @@ class TestBlockedKick:
         monkeypatch.setattr(kick_engine, "_blocked_convolve", spied)
         kernel = build_kernel(k)
         d_max, size = kernel.d_max, 1201
+        assert -(-2 * d_max // _BLOCK) == _SLABS[k]
         rng = np.random.default_rng(int(10 * k))
-        wide = 0
-        for width in [1, 100, _BLOCKED_MIN_BINS - 1, _BLOCKED_MIN_BINS, 513, 1024, size]:
+        kicks = 0
+        for width in [1, 2, 63, 64, 65, 100, 319, 320, 513, 1024, size]:
             for lo in sorted({0, (size - width) // 2, size - width}):
                 hi = lo + width
                 amps = np.zeros(size, complex)
@@ -241,9 +247,9 @@ class TestBlockedKick:
                 ]
                 assert support == (start, stop)
                 assert np.max(np.abs(out - expected)) <= 1e-15
-                wide += width >= _BLOCKED_MIN_BINS
-        # a kernel without blocks (d_max > 64) keeps np.convolve at any width
-        assert len(blocked) == (0 if kernel.toeplitz is None else wide)
+                kicks += 1
+        # every kick, of every width and kernel, is the blocked product
+        assert len(blocked) == kicks
 
     def test_toeplitz_is_built_at_first_use_and_read_only(self):
         kernel = build_kernel(7.25)
@@ -257,7 +263,12 @@ class TestBlockedKick:
         # the first bin of a block spreads over the block as the kernel does
         assert np.array_equal(matrix[span, :span + 1], kernel.coefficients)
         assert np.all(matrix[span, span + 1:] == 0.0)
-        assert build_kernel(37.3).toeplitz is None
+        # every kernel has blocks of _BLOCK columns, so wide kernels stay small
+        for k in _SLABS:
+            kernel = build_kernel(k)
+            assert kernel.toeplitz.shape == (2 * kernel.d_max + _BLOCK, _BLOCK)
+            assert not kernel.toeplitz.flags.writeable
+        assert build_kernel(1000.0).toeplitz.nbytes <= 1.2e6
 
     def test_wide_translation_covariance(self, kernel10):
         # A state of 301 nonzero bins, kicked at two places of a wide support.
@@ -388,6 +399,24 @@ class TestTimeReversal:
         back = adjoint_step(step(state, kernel10, spectrum), kernel10, spectrum)
         assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
+    def test_adjoint_steps_share_one_reversed_matrix(self, kernel10, monkeypatch):
+        matrices = []
+        real = kick_engine._blocked_convolve
+
+        def spied(a, toeplitz):
+            matrices.append(toeplitz)
+            return real(a, toeplitz)
+
+        monkeypatch.setattr(kick_engine, "_blocked_convolve", spied)
+        window = BasisWindow.centered(0, 300)
+        spectrum = SpectrumModel.rotator(window, tau=1.0)
+        state = QuantumState.delta(window)
+        for _ in range(2):
+            state = adjoint_step(state, kernel10, spectrum)
+        assert len(matrices) == 2 and matrices[0] is matrices[1]
+        assert matrices[0] is kernel10.adjoint.toeplitz
+        assert np.array_equal(kernel10.adjoint.coefficients, kernel10.coefficients[::-1])
+
 
 class TestTypes:
     def test_window_orders_and_sizes(self):
@@ -494,16 +523,21 @@ def _outside(state: QuantumState) -> np.ndarray:
 
 
 class TestSupport:
-    @pytest.mark.parametrize("preset", "abcd")
-    def test_presets_match_a_full_window_reference(self, preset):
-        # All states read out every kick diffuse to the edge of this window
-        # after about 150 kicks, so preset d runs 100.
+    @pytest.mark.parametrize(
+        "preset, k, halfwidth, kicks, period_c",
+        # At k = 5, all states read out every kick diffuse to the edge of a
+        # halfwidth of 300 after about 150 kicks, so preset d runs 100. At
+        # k = 50 (d_max = 87) every kick takes 3 slabs, and no preset
+        # reaches the edge of a halfwidth of 1000 in 10 kicks.
+        [pytest.param(p, 5.0, 300, 100 if p == "d" else 200, 20, id=p) for p in "abcd"]
+        + [pytest.param(p, 50.0, 1000, 10, 4, id=f"k50-{p}") for p in "abcd"],
+    )
+    def test_presets_match_a_full_window_reference(self, preset, k, halfwidth, kicks, period_c):
         config = ExperimentConfig(
-            "kicked", k=5.0, window_halfwidth=300, n_kicks=100 if preset == "d" else 200,
-            seed=12,
+            "kicked", k=k, window_halfwidth=halfwidth, n_kicks=kicks, seed=12,
         ).with_preset(preset)
         if preset == "c":
-            config = dataclasses.replace(config, measurement_period=20)
+            config = dataclasses.replace(config, measurement_period=period_c)
         series = run_experiment(config).aggregate
         reference = _reference_series(config)
         assert np.allclose(series.dispersion, reference[:, 0], rtol=1e-13, atol=0)
@@ -587,15 +621,15 @@ class TestInputsAreNotMutated:
     @pytest.mark.parametrize("call", _CALLS)
     @pytest.mark.parametrize("kicks", [3, 40])
     def test_input_is_unchanged_and_not_shared(self, kernel10, call, kicks):
-        # 3 measured kicks leave a support that np.convolve kicks, 40 one
-        # that the blocked product kicks
+        # 3 measured kicks leave a support narrower than a few blocks, 40
+        # one of many blocks
         window = BasisWindow.centered(500, 600)
         spectrum = SpectrumModel.rotator(window, tau=1.0)
         state, schedule, rng = QuantumState.delta(window), MeasurementSchedule("all"), PhaseRandomizer(8)
         for _ in range(kicks):
             state = apply_measurement(step(state, kernel10, spectrum), schedule, rng)
         lo, hi = state.support
-        assert (hi - lo >= _BLOCKED_MIN_BINS) == (kicks == 40)
+        assert hi - lo == {3: 129, 40: 769}[kicks]
         before, support = state.amplitudes.tobytes(), state.support
         out = _CALLS[call](state, kernel10, spectrum)
         assert state.amplitudes.tobytes() == before
