@@ -31,7 +31,6 @@ from .observables import (
     diffusion_slope,
     dispersion,
     fit_localization_length,
-    time_averaged_profile,
 )
 from .two_level import ProbabilityPair, zeno_survival
 
@@ -42,7 +41,7 @@ __all__ = [
     "NoLocalizationError", "NormDriftError", "NonFiniteError", "LostKickError", "ConfigError",
     # kicked ladder
     "BasisWindow", "QuantumState", "SpectrumModel", "build_kernel", "step",
-    "dispersion", "time_averaged_profile", "fit_localization_length",
+    "dispersion", "fit_localization_length",
     "diffusion_slope", "detect_break_time",
     # two-level system
     "ProbabilityPair", "zeno_survival",

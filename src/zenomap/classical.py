@@ -14,8 +14,7 @@ at K = 10.
 
 One protocol: every particle starts at action ``I0`` with an angle drawn
 uniformly by ``ClassicalEnsemble.prepared`` from its ``seed``, and
-``ensemble_series`` evolves those angles. ``classical_step`` is the scalar
-map the array map is tested against.
+``ensemble_series`` evolves those angles.
 
 An ensemble may hold several equal-sized realizations one after another in
 its flat ``particles`` array (``ClassicalEnsemble.realizations``). They
@@ -65,14 +64,6 @@ _WRAP_LIMIT_BITS = int(np.array(_WRAP_LIMIT).view(np.uint64))
 _MOD_BELOW = 700
 
 
-@dataclass(frozen=True)
-class ClassicalParticle:
-    """Single trajectory point: action and angle (angle kept in [0, 2*pi))."""
-
-    action: float
-    angle: float
-
-
 @dataclass(frozen=True, eq=False)
 class ClassicalEnsemble:
     """Particles at action ``I0`` (a read-only float64 array of their initial
@@ -119,13 +110,6 @@ class ClassicalEnsemble:
         """``n_particles`` at action ``I0``, angles i.i.d. uniform from ``seed``
         (reproducible for a fixed seed or generator state)."""
         return cls(np.random.default_rng(seed).uniform(0.0, _TWO_PI, n_particles), I0, tau, k)
-
-
-def classical_step(p: ClassicalParticle, k: float, tau: float) -> ClassicalParticle:
-    """One kick plus free rotation: ``I' = I + k sin(theta)``, ``theta' = theta + tau I'``."""
-    action = p.action + k * math.sin(p.angle)
-    angle = (p.angle + tau * action) % _TWO_PI
-    return ClassicalParticle(action, angle)
 
 
 def _wrap_angles(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:

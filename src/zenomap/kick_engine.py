@@ -37,8 +37,8 @@ kick of a one-bin state, is the same bit for bit.
 
 Operations never mutate their input. :func:`step` kicks into a new vector
 and then moves that vector, which no caller holds yet, through the free
-flight in place; :func:`apply_free` and :func:`adjoint_step` run the same
-flight on a copy of their input.
+flight in place; :func:`apply_free` runs the same flight on a copy of its
+input.
 """
 
 from __future__ import annotations
@@ -157,10 +157,6 @@ class QuantumState:
         a = self.amplitudes[lo:hi]
         return float(np.vdot(a, a).real)
 
-    def occupations(self) -> np.ndarray:
-        a = self.amplitudes
-        return a.real**2 + a.imag**2
-
     def boundary_occupation(self, width: int) -> tuple[float, float]:
         """Probability within ``width`` bins of the (lower, upper) window edge."""
         a = self.amplitudes
@@ -218,9 +214,6 @@ class KickKernel:
     def d_max(self) -> int:
         return self.coefficients.size // 2
 
-    def offsets(self) -> np.ndarray:
-        return np.arange(-self.d_max, self.d_max + 1)
-
     @cached_property
     def toeplitz(self) -> np.ndarray:
         """The banded matrix of the blocked kick, read-only, built at first use.
@@ -238,12 +231,6 @@ class KickKernel:
         matrix = np.where(inside, self.coefficients[np.clip(lags, 0, span)], 0.0)
         matrix.flags.writeable = False
         return matrix
-
-    @cached_property
-    def adjoint(self) -> "KickKernel":
-        """The kernel of the inverse kick, ``J_{-d}``: the order-reversed
-        coefficients, built once so that its Toeplitz matrix is built once."""
-        return KickKernel(self.coefficients[::-1])
 
 
 def _bessel_orders(k: float, n: int) -> np.ndarray:
@@ -499,21 +486,3 @@ def step(
     out.time_index = state.time_index + 1
     return out
 
-
-def adjoint_step(
-    state: QuantumState, kernel: KickKernel, spectrum: SpectrumModel
-) -> QuantumState:
-    """Exact inverse of :func:`step`: conjugate flight, then reversed kernel.
-
-    The kick matrix is real orthogonal, so its inverse is the transpose,
-    i.e. a convolution with the order-reversed coefficients ``J_{-d}``
-    (:attr:`KickKernel.adjoint`). Running n steps forward and n adjoint
-    steps back recovers the initial state up to roundoff as long as no
-    measurement intervened.
-    """
-    _check_spectrum(state, spectrum)
-    _check_kick(state, kernel)
-    undone = state.amplitudes.copy()
-    _fly(undone, state.support, np.conj(spectrum.multiplier))
-    out, support = _convolve(undone, state.support, kernel.adjoint)
-    return QuantumState._trusted(state.window, out, state.time_index - 1, support)

@@ -10,7 +10,7 @@ diffusion rate and the time at which diffusive growth stops are estimated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -100,29 +100,6 @@ def dispersion(state: QuantumState) -> float:
     occupation = np.square(a.real)
     occupation += np.square(a.imag)
     return float(np.dot(state.window.dispersion_weights[lo:hi], occupation))
-
-
-def time_averaged_profile(states: Iterable[QuantumState]) -> np.ndarray:
-    """Mean occupation per basis state over a sequence of snapshots.
-
-    Accepts any iterable (including a generator, so snapshots need not be
-    kept in memory); all snapshots must share one window.
-    """
-    total: Optional[np.ndarray] = None
-    window = None
-    count = 0
-    for state in states:
-        if total is None:
-            window = state.window
-            total = state.occupations().astype(float)
-        else:
-            if state.window != window:
-                raise ValueError("profile snapshots span different windows")
-            total += state.occupations()
-        count += 1
-    if total is None:
-        raise ValueError("no snapshots given")
-    return total / count
 
 
 def fit_localization_length(

@@ -10,9 +10,8 @@ Readout is modeled as phase randomization: the populations are kept and the
 amplitude phases are redrawn uniformly. Averaged over the random phases the
 interference term of the coherent step drops out and the populations evolve
 under a symmetric doubly stochastic matrix whose matrix power has a closed
-form, :func:`measured_populations`. :func:`measured_evolve_closed` and the
-runner's ``zeno`` experiment both read it; :func:`measured_probability_step`
-is one segment of the same map, and :func:`monte_carlo_measured_evolve`
+form, :func:`measured_populations`. :func:`zeno_survival` and the runner's
+``zeno`` experiment both read it, and :func:`monte_carlo_measured_evolve`
 draws the phases explicitly and converges to it.
 """
 
@@ -46,18 +45,6 @@ class ProbabilityPair:
             )
 
 
-def measured_probability_step(p: ProbabilityPair, phi: float) -> ProbabilityPair:
-    """Advance the populations by one segment with readout in between.
-
-    With the phases randomized by the preceding readout, the populations mix
-    through ``cos^2(phi)`` / ``sin^2(phi)`` weights only; the result again
-    sums to one exactly.
-    """
-    c2 = math.cos(phi) ** 2
-    s2 = 1.0 - c2
-    return ProbabilityPair(c2 * p.p1 + s2 * p.p2, s2 * p.p1 + c2 * p.p2)
-
-
 def measured_populations(p: ProbabilityPair, phi: float, n):
     """Populations ``(p1, p2)`` after ``n`` measured segments from ``p``.
 
@@ -70,16 +57,6 @@ def measured_populations(p: ProbabilityPair, phi: float, n):
     cos_n = np.float_power(math.cos(angle) if math.isfinite(angle) else math.nan, n)
     contrast = cos_n * (p.p1 - p.p2)
     return 0.5 * (1.0 + contrast), 0.5 * (1.0 - contrast)
-
-
-def measured_evolve_closed(p: ProbabilityPair, phi: float, n: int) -> ProbabilityPair:
-    """Populations after ``n`` measured segments, by :func:`measured_populations`."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return p
-    p1, p2 = measured_populations(p, phi, n)
-    return ProbabilityPair(float(p1), float(p2))
 
 
 def zeno_survival(n: int) -> ProbabilityPair:
@@ -95,7 +72,8 @@ def zeno_survival(n: int) -> ProbabilityPair:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     phi = math.pi / (2.0 * n)
-    return measured_evolve_closed(ProbabilityPair(1.0, 0.0), phi, n)
+    p1, p2 = measured_populations(ProbabilityPair(1.0, 0.0), phi, n)
+    return ProbabilityPair(float(p1), float(p2))
 
 
 def monte_carlo_measured_evolve(
@@ -114,7 +92,7 @@ def monte_carlo_measured_evolve(
     ``cos^2(phi) p1 + sin^2(phi) p2 + sin(2 phi) sqrt(p1 p2) sin(alpha1 - alpha2)``,
     which is exactly the squared modulus of the coherent step applied to the
     randomized amplitudes. The trial average converges to
-    :func:`measured_evolve_closed` since the interference term has zero mean.
+    :func:`measured_populations` since the interference term has zero mean.
 
     Stream layout: ``default_rng(seed)`` gives, per step, ``alpha1`` for all
     trials and then ``alpha2`` for all trials. The trials are split into

@@ -14,10 +14,11 @@ from zenomap import (
     build_kernel,
     dispersion,
     step,
-    time_averaged_profile,
 )
 from zenomap.observables import DispersionSeries
 from zenomap.runner import ExperimentConfig, run_experiment
+
+from reference import time_averaged_profile
 
 DEFAULT_K = 10.0
 DEFAULT_TAU = 1.0

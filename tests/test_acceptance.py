@@ -35,11 +35,11 @@ from zenomap import (
     zeno_survival,
 )
 from zenomap.classical import ClassicalEnsemble
-from zenomap.kick_engine import adjoint_step
 from zenomap.runner import ExperimentConfig, render_csv, run_experiment
 from zenomap.two_level import monte_carlo_measured_evolve
 
 from conftest import fit_slope, moving_average
+from reference import adjoint_step, offsets
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -74,7 +74,7 @@ def test_criterion_02_kernel_identities():
     notes = []
     for k in (1.0, 5.0, 10.0):
         kernel = build_kernel(k)
-        d = kernel.offsets().astype(float)
+        d = offsets(kernel).astype(float)
         w = kernel.coefficients**2
         total = abs(float(np.sum(w)) - 1.0)
         second = abs(float(d**2 @ w) - k * k / 2.0)
@@ -211,12 +211,17 @@ def test_criterion_09_numerical_hygiene(curve_a, curve_d_record, monkeypatch):
         experiment="kicked", n_kicks=50, window_halfwidth=400, seed=5,
         measurement_mode="all", realizations=3,
     )
+    # kicked realizations run on the calling thread; classical blocks start
+    # the thread pool, so that pair compares a pooled run with a serial one
+    classical = ExperimentConfig("classical", particles=300, n_kicks=30, realizations=5)
     monkeypatch.setenv("ZENO_MAP_THREADS", "1")
     serial = render_csv(run_experiment(config).aggregate)
     repeat = render_csv(run_experiment(config).aggregate)
+    classical_serial = render_csv(run_experiment(classical).aggregate)
     monkeypatch.setenv("ZENO_MAP_THREADS", "4")
     threaded = render_csv(run_experiment(config).aggregate)
-    csv_ok = serial == threaded == repeat
+    classical_threaded = render_csv(run_experiment(classical).aggregate)
+    csv_ok = serial == threaded == repeat and classical_serial == classical_threaded
 
     window = BasisWindow.centered(500, 600)
     kernel = build_kernel(10.0)

@@ -14,12 +14,12 @@ from zenomap.classical import (
     _MOD_BELOW,
     _TWO_PI,
     _WRAP_LIMIT,
-    ClassicalParticle,
     K_CRITICAL,
     _wrap_angles,
-    classical_step,
     ensemble_series,
 )
+
+from reference import ClassicalParticle, classical_step
 
 
 def _bits(x: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ from zenomap.measurement import (
     should_measure,
 )
 
+from reference import occupations
+
 
 class TestSchedule:
     def test_fires_on_period_multiples(self):
@@ -75,7 +77,7 @@ class TestApplyMeasurement:
         window = BasisWindow.centered(0, 50)
         state = _random_state(window, 1)
         out = apply_measurement(state, MeasurementSchedule("all"), PhaseRandomizer(2))
-        assert np.allclose(out.occupations(), state.occupations(), rtol=1e-14, atol=0)
+        assert np.allclose(occupations(out), occupations(state), rtol=1e-14, atol=0)
         assert not np.allclose(out.amplitudes, state.amplitudes)  # phases did change
 
     def test_delta_state_unchanged_up_to_global_phase(self):
@@ -83,7 +85,7 @@ class TestApplyMeasurement:
         state = QuantumState.delta(window)
         out = apply_measurement(state, MeasurementSchedule("all"), PhaseRandomizer(3))
         assert abs(abs(out.amplitudes[window.offset(0)]) - 1.0) < 1e-14
-        occupied = np.nonzero(out.occupations() > 0)[0]
+        occupied = np.nonzero(occupations(out) > 0)[0]
         assert list(occupied) == [window.offset(0)]
 
     def test_subset_leaves_unmeasured_amplitudes_bit_identical(self):
@@ -136,7 +138,7 @@ class TestApplyMeasurement:
         out = apply_measurement(
             state, MeasurementSchedule("all"), PhaseRandomizer(seed)
         )
-        assert np.allclose(out.occupations(), state.occupations(), rtol=1e-13, atol=0)
+        assert np.allclose(occupations(out), occupations(state), rtol=1e-13, atol=0)
 
     def test_dispersion_invariant_under_measurement(self):
         window = BasisWindow.centered(0, 40)

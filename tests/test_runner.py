@@ -34,7 +34,8 @@ from zenomap.runner import (
     run_experiment,
     write_csv,
 )
-from zenomap.two_level import measured_evolve_closed
+
+from reference import measured_evolve_closed
 
 
 class TestParseConfig:

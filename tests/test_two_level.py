@@ -10,12 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenomap import ProbabilityPair, zeno_survival
-from zenomap.two_level import (
-    measured_evolve_closed,
-    measured_populations,
-    measured_probability_step,
-    monte_carlo_measured_evolve,
-)
+from zenomap.two_level import measured_populations, monte_carlo_measured_evolve
+
+from reference import measured_evolve_closed, measured_probability_step
 
 class TestMeasuredStep:
     def test_quarter_angle_equalizes(self):
@@ -133,6 +130,13 @@ class TestZenoSurvival:
     def test_survival_probability_is_nondecreasing(self):
         values = [zeno_survival(n).p1 for n in range(2, 400)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    def test_is_the_closed_form_bit_for_bit(self):
+        start = ProbabilityPair(1.0, 0.0)
+        for n in range(1, 1025):
+            out = zeno_survival(n)
+            closed = measured_evolve_closed(start, math.pi / (2 * n), n)
+            assert out.p1 == closed.p1 and out.p2 == closed.p2, n
 
     @pytest.mark.parametrize("n", [50, 64, 128, 256, 1000, 2000])
     def test_survival_exceeds_leading_order_bound(self, n):
