@@ -24,11 +24,10 @@ elementwise and each row's statistics reduce that row alone, so a row's
 bytes do not depend on the rows it evolves with.
 
 Each step wraps the angles into [0, 2*pi). When every angle is finite and in
-[+0, 2**20 * 2*pi), and the array holds at least ``_MOD_BELOW`` of them,
-``_wrap_angles`` subtracts ``n * 2*pi`` by an exact two-constant reduction,
-bit for bit as ``np.mod`` would wrap them; all other angles go through
-``np.mod``, with its values and warnings. Classical outputs are
-byte-identical to those of earlier versions.
+[+0, 2**20 * 2*pi), ``_wrap_angles`` subtracts ``n * 2*pi`` by an exact
+two-constant reduction, bit for bit as ``np.mod`` would wrap them; all other
+angles go through ``np.mod``, with its values and warnings. Classical outputs
+are byte-identical to those of earlier versions.
 """
 
 from __future__ import annotations
@@ -59,9 +58,6 @@ _WRAP_LIMIT = 2.0**20 * _TWO_PI_HI
 # in [+0, _WRAP_LIMIT) are exactly those below it: a set sign bit (a negative
 # number or -0.0), infinities and nans all read higher.
 _WRAP_LIMIT_BITS = int(np.array(_WRAP_LIMIT).view(np.uint64))
-# Below this many angles one np.mod call is faster than the reduction's
-# fixed cost of about a dozen calls (break-even near 700 on a 2-vCPU Xeon).
-_MOD_BELOW = 700
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +108,7 @@ class ClassicalEnsemble:
         return cls(np.random.default_rng(seed).uniform(0.0, _TWO_PI, n_particles), I0, tau, k)
 
 
-def _wrap_angles(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _wrap_angles(angles: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Wrap ``angles`` into [0, 2*pi) in place and return them, bit for bit
     as ``np.mod(angles, 2*pi)`` would; ``work`` is scratch of shape
     ``(2, angles.size)``.
@@ -122,16 +118,11 @@ def _wrap_angles(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndarr
     difference is exact, so it is exactly ``x - n * 2*pi``. ``_INV_TWO_PI``
     lies above ``1 / _TWO_PI``, so ``n`` is never too small; rounding can
     make it one too large, which leaves a negative remainder that one exact
-    addition of 2*pi mends. Any other array, and any array of fewer than
-    ``_MOD_BELOW`` angles, goes through ``np.mod``, with its values and
-    warnings.
+    addition of 2*pi mends. Any other array goes through ``np.mod``, with its
+    values and warnings.
     """
-    if angles.size < _MOD_BELOW or (
-        np.maximum.reduce(angles.view(np.uint64)) >= _WRAP_LIMIT_BITS  # a nan fails too
-    ):
+    if np.maximum.reduce(angles.view(np.uint64)) >= _WRAP_LIMIT_BITS:  # a nan fails too
         return np.mod(angles, _TWO_PI, out=angles)
-    if work is None:
-        work = np.empty((2, angles.size))
     n, product = work
     np.multiply(angles, _INV_TWO_PI, out=n)
     np.floor(n, out=n)

@@ -13,7 +13,8 @@ rounded for ``k <= 20`` and within 1e-17 absolute up to ``k = 1000``. The
 kernel is truncated where its coefficients fall below a threshold (Bessel
 coefficients decay superexponentially past ``|d| ~ k``), and the basis window
 is policed every kick: once probability comes within the kernel bandwidth of
-a window edge the run aborts rather than silently leaking norm.
+a window edge the run aborts rather than silently leaking norm, with an error
+that names the kick after which it stopped and the window halfwidth to exceed.
 
 A localized state leaves most of the window at amplitudes far below
 roundoff, so every state carries a ``support``: the half-open range of
@@ -164,36 +165,12 @@ class QuantumState:
         return float(np.vdot(lo, lo).real), float(np.vdot(hi, hi).real)
 
     @classmethod
-    def _trusted(
-        cls, window: BasisWindow, amplitudes: np.ndarray, time_index: int,
-        support: tuple[int, int],
-    ) -> "QuantumState":
-        """A state on a complex vector that the package has just built for
-        ``window``, with a valid ``support``; skips the checks of
-        ``__post_init__``, which the public constructor keeps."""
-        state = object.__new__(cls)
-        state.window = window
-        state.amplitudes = amplitudes
-        state.time_index = time_index
-        state.support = support
-        return state
-
-    @classmethod
     def delta(cls, window: BasisWindow) -> "QuantumState":
         """Unit amplitude on the initial state ``m0``, before any kick."""
         a = np.zeros(window.size, dtype=np.complex128)
         home = window.offset(window.m0)
         a[home] = 1.0
         return cls(window, a, 0, (home, home + 1))
-
-
-def _zero_outside(size: int, support: tuple[int, int]) -> np.ndarray:
-    """A new complex vector that is zero outside ``support`` and unset inside."""
-    lo, hi = support
-    out = np.empty(size, dtype=np.complex128)
-    out[:lo] = 0.0
-    out[hi:] = 0.0
-    return out
 
 
 def _fly(amplitudes: np.ndarray, support: tuple[int, int], multiplier: np.ndarray) -> None:
@@ -310,9 +287,12 @@ def _check_kick(state: QuantumState, kernel: KickKernel) -> None:
     Only amplitude within ``d_max`` bins of an edge can leave the window in
     one kick, and the kick is unitary, so the probability there before the
     kick bounds the norm the kick can lose. A support at least ``d_max``
-    from both edges leaves those bands exactly zero.
+    from both edges leaves those bands exactly zero. The error names the
+    kicks completed (``state.time_index``), the edge and the window
+    halfwidth a rerun must exceed: the larger distance from ``m0`` to an edge.
     """
-    size, d_max = state.window.size, kernel.d_max
+    window, d_max = state.window, kernel.d_max
+    size = window.size
     if kernel.coefficients.size > size:
         raise ValueError(
             f"kernel bandwidth {kernel.coefficients.size} exceeds window size {size}"
@@ -323,13 +303,16 @@ def _check_kick(state: QuantumState, kernel: KickKernel) -> None:
     lo, hi = state.boundary_occupation(d_max)
     if lo + hi >= _BOUNDARY_LIMIT:
         if lo >= _BOUNDARY_LIMIT and hi >= _BOUNDARY_LIMIT:
-            edge = "both"
+            edge, where = "both", "both window edges"
         else:
             edge = "lower" if lo > hi else "upper"
+            where = f"the {edge} window edge"
+        halfwidth = max(window.m0 - window.m_min, window.m_max - window.m0)
         raise TruncationOverflowError(
-            f"probability {lo + hi:.3e} within {kernel.d_max} states of the "
-            f"{edge} window edge (m_min={state.window.m_min}, "
-            f"m_max={state.window.m_max}) exceeds {_BOUNDARY_LIMIT:g}",
+            f"run aborted after kick {state.time_index}: probability {lo + hi:.3e} "
+            f"within {d_max} states of {where} (m_min={window.m_min}, "
+            f"m_max={window.m_max}) exceeds {_BOUNDARY_LIMIT:g}; rerun with a "
+            f"window_halfwidth larger than {halfwidth}",
             edge=edge,
             occupation=lo + hi,
         )
@@ -345,7 +328,7 @@ def apply_kick(state: QuantumState, kernel: KickKernel) -> QuantumState:
     """
     _check_kick(state, kernel)
     out, support = _convolve(state.amplitudes, state.support, kernel)
-    return QuantumState._trusted(state.window, out, state.time_index, support)
+    return QuantumState(state.window, out, state.time_index, support)
 
 
 def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +377,7 @@ def _convolve(
     lo, hi = support
     size = amplitudes.size
     start, stop = max(lo - d_max, 0), min(hi + d_max, size)
-    out = _zero_outside(size, (start, stop))
+    out = np.zeros(size, dtype=np.complex128)
     shift = lo - d_max
     real, imag = _blocked_convolve(amplitudes[lo:hi], kernel.toeplitz)
     out.real[start:stop] = real[start - shift:stop - shift]
@@ -469,7 +452,7 @@ def apply_free(state: QuantumState, spectrum: SpectrumModel) -> QuantumState:
     _check_spectrum(state, spectrum)
     out = state.amplitudes.copy()
     _fly(out, state.support, spectrum.multiplier)
-    return QuantumState._trusted(state.window, out, state.time_index, state.support)
+    return QuantumState(state.window, out, state.time_index, state.support)
 
 
 def step(

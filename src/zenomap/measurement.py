@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kick_engine import QuantumState, _zero_outside
+from .kick_engine import QuantumState
 
 _PHASE_STEP = 2.0 * np.pi / 4096
 # h*s is formed by the same float product here and in _phase_factors, so the
@@ -155,9 +155,9 @@ def apply_measurement(
         # support, but only the draws of the support become factors.
         lo, hi = state.support
         factors = _phase_factors(rng.phases(window.size)[lo:hi])
-        out = _zero_outside(window.size, state.support)
+        out = np.zeros(window.size, dtype=np.complex128)
         np.multiply(factors, state.amplitudes[lo:hi], out=out[lo:hi])
-        return QuantumState._trusted(window, out, state.time_index, state.support)
+        return QuantumState(window, out, state.time_index, state.support)
     out = state.amplitudes.copy()
     if schedule.mode == "initial":
         # the same single draw and factor as a subset readout of m0
@@ -166,4 +166,4 @@ def apply_measurement(
     else:
         positions = [window.offset(m) for m in schedule.subset]  # raises if outside
         out[positions] *= np.exp(1j * rng.phases(len(positions)))
-    return QuantumState._trusted(window, out, state.time_index, state.support)
+    return QuantumState(window, out, state.time_index, state.support)

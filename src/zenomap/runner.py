@@ -15,10 +15,11 @@ spectrum (a random one drawn once from ``SeedSequence(seed)``) are properties
 of the system, built once per run and shared read-only by every realization,
 which owns only its phase stream and state. Realization ``r`` writes its
 columns into row ``r`` of the run's ``(realizations, n_kicks + 1)`` arrays; a
-run without random input (a zeno run, or a kicked run whose
-``measurement_mode`` is ``none``) computes one row, which stands for every
-realization. The aggregate is the mean over the rows, so output bytes depend
-neither on the thread count nor, in a run of one row, on ``realizations``.
+run without random input (a zeno run, or a kicked run whose readout never
+fires: its ``measurement_mode`` is ``none`` or its ``measurement_period``
+exceeds ``n_kicks``) computes one row, which stands for every realization.
+The aggregate is the mean over the rows, so output bytes depend neither on
+the thread count nor, in a run of one row, on ``realizations``.
 
 Classical realizations evolve in row blocks: each block is one
 ``ClassicalEnsemble`` holding several realizations' particles, evolved by one
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .classical import ClassicalEnsemble, ensemble_series
-from .errors import ConfigError, TruncationOverflowError
+from .errors import ConfigError
 from .kick_engine import (
     BasisWindow,
     QuantumState,
@@ -168,28 +169,21 @@ def _simulate_kicked(config: ExperimentConfig) -> np.ndarray:
     home = window.offset(window.m0)
     n = config.n_kicks
     j = np.arange(n + 1)
-    # no readout draws a phase: every realization is realization 0
-    rows = np.empty((3, 1 if schedule.mode == "none" else config.realizations, n + 1))
+    # a readout that never fires draws no phase: every realization is realization 0
+    fires = schedule.mode != "none" and schedule.period <= n
+    rows = np.empty((3, config.realizations if fires else 1, n + 1))
     for r in range(rows.shape[1]):
         rng = PhaseRandomizer(config.seed, r)
         state = QuantumState.delta(window)
         disp, norm, p_home = rows[:, r]
-        try:
-            for kick in range(n + 1):
-                if kick:
-                    state = step(state, kernel, spectrum)
-                    if should_measure(schedule, kick):
-                        state = apply_measurement(state, schedule, rng)
-                disp[kick] = dispersion(state)
-                norm[kick] = state.norm_sq()
-                p_home[kick] = abs(state.amplitudes[home]) ** 2
-        except TruncationOverflowError as err:
-            raise TruncationOverflowError(
-                f"run aborted after kick {state.time_index}: {err}; rerun with a "
-                f"window_halfwidth larger than {config.window_halfwidth}",
-                edge=err.edge,
-                occupation=err.occupation,
-            ) from err
+        for kick in range(n + 1):
+            if kick:
+                state = step(state, kernel, spectrum)
+                if should_measure(schedule, kick):
+                    state = apply_measurement(state, schedule, rng)
+            disp[kick] = dispersion(state)
+            norm[kick] = state.norm_sq()
+            p_home[kick] = abs(state.amplitudes[home]) ** 2
         DispersionSeries(j, disp, norm, p_home)
     return rows
 

@@ -11,7 +11,6 @@ from zenomap import ClassicalEnsemble, LostKickError, ensemble_diffusion
 from zenomap.observables import DispersionSeries
 from zenomap.classical import (
     _INV_TWO_PI,
-    _MOD_BELOW,
     _TWO_PI,
     _WRAP_LIMIT,
     K_CRITICAL,
@@ -26,10 +25,12 @@ def _bits(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
+def _wrap(x: np.ndarray) -> np.ndarray:
+    return _wrap_angles(x.copy(), np.empty((2, x.size)))
+
+
 def _assert_wraps_like_mod(x: np.ndarray) -> None:
-    # as given, and repeated up to the size at which the reduction may run
-    for angles in (x, np.resize(x, max(x.size, _MOD_BELOW))):
-        assert np.array_equal(_bits(_wrap_angles(angles.copy())), _bits(np.mod(angles, _TWO_PI)))
+    assert np.array_equal(_bits(_wrap(x)), _bits(np.mod(x, _TWO_PI)))
 
 
 def _reference_series(ensemble: ClassicalEnsemble, steps: int) -> np.ndarray:
@@ -214,12 +215,10 @@ class TestWrapAngles:
                       np.nextafter(_TWO_PI, 0.0), np.nextafter(_TWO_PI, 7.0)])
         )
 
-    @pytest.mark.parametrize(
-        "size", [1, 10, _MOD_BELOW - 1, _MOD_BELOW, _MOD_BELOW + 1, 5000]
-    )
+    @pytest.mark.parametrize("size", [1, 10, 699, 700, 701, 5000])
     def test_sizes_on_both_sides_of_the_mod_threshold(self, size):
-        # below _MOD_BELOW angles the wrap is one np.mod call, above it the
-        # reduction: the bits agree either way
+        # every size takes the reduction, whose bits agree with np.mod's,
+        # on either side of the 700 angles below which np.mod is the faster
         rng = np.random.default_rng(size)
         _assert_wraps_like_mod(rng.uniform(0.0, 2000.0, size))
         _assert_wraps_like_mod(rng.uniform(0.0, _WRAP_LIMIT, size))
@@ -235,10 +234,10 @@ class TestWrapAngles:
         ids=["negative", "huge", "inf", "minus_inf", "nan", "minus_zero"],
     )
     def test_other_angles_go_through_mod_with_its_warnings(self, angles):
-        x = np.resize(np.array(angles), _MOD_BELOW)
+        x = np.array(angles)
         with warnings.catch_warnings(record=True) as wrapped:
             warnings.simplefilter("always")
-            got = _wrap_angles(x.copy())
+            got = _wrap(x)
         with warnings.catch_warnings(record=True) as reference:
             warnings.simplefilter("always")
             expected = np.mod(x, _TWO_PI)

@@ -117,6 +117,26 @@ class TestRunCommand:
         )
         assert main(["run", str(path)]) == 3
 
+    @pytest.mark.parametrize("document, preset, line", [
+        ("experiment = kicked\nwindow_halfwidth = 40\n", "d",
+         "run aborted after kick 1: probability 2.968e-01 within 32 states of both "
+         "window edges (m_min=460, m_max=540) exceeds 1e-10; rerun with a "
+         "window_halfwidth larger than 40"),
+        ("experiment = kicked\nm0 = 3\nk = 5\nn_kicks = 300\nwindow_halfwidth = 60\n"
+         "measurement_mode = all\n", None,
+         "run aborted after kick 6: probability 1.181e-09 within 23 states of the "
+         "upper window edge (m_min=-57, m_max=63) exceeds 1e-10; rerun with a "
+         "window_halfwidth larger than 60"),
+    ], ids=["both", "upper"])
+    def test_window_edge_failure_prints_one_line(self, document, preset, line, tmp_path, capsys):
+        path = tmp_path / "edge.cfg"
+        path.write_text(document)
+        argv = ["run", str(path)] + (["--preset", preset] if preset else [])
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical failure: {line}\n"
+        assert captured.out == ""
+
     def test_norm_drift_is_numerical_error(self, config_file, monkeypatch):
         real_step = runner.step
 

@@ -169,11 +169,15 @@ class TestApplyKick:
         window = BasisWindow(0, 60, 30)
         amps = np.zeros(61, complex)
         amps[window.offset(58)] = 1.0
-        state = QuantumState(window, amps)
+        state = QuantumState(window, amps, time_index=7)
         with pytest.raises(TruncationOverflowError) as excinfo:
             apply_kick(state, kernel)
         assert excinfo.value.edge == "upper"
-        assert "upper" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            "run aborted after kick 7: probability 1.000e+00 within 23 states of the "
+            "upper window edge (m_min=0, m_max=60) exceeds 1e-10; rerun with a "
+            "window_halfwidth larger than 30"
+        )
 
     def test_edge_mass_raises_before_a_kick_that_would_lose_norm(self):
         # At the first zero of J_0 the edge bin empties after the kick, while
@@ -184,6 +188,8 @@ class TestApplyKick:
             apply_kick(QuantumState.delta(window), kernel)
         assert excinfo.value.edge == "upper"
         assert excinfo.value.occupation == pytest.approx(1.0)
+        # m0 sits on the upper edge: a rerun needs more than its 99 states below
+        assert str(excinfo.value).endswith("larger than 99")
 
     def test_adjoint_step_checks_the_edges_too(self, kernel10):
         window = BasisWindow(0, 199, m0=0)
@@ -318,6 +324,45 @@ class TestApplyFree:
         state = QuantumState.delta(BasisWindow.centered(0, 12))
         with pytest.raises(ValueError):
             apply_free(state, spectrum)
+
+
+class TestLinearLadder:
+    # With H0(m) = omega * m the flight shifts the angle by alpha = omega * tau,
+    # so the kicks commute and j of them act as one kick of strength
+    # k * |sin(j alpha / 2) / sin(alpha / 2)|: the unmeasured dispersion is
+    # (k^2 / 2) sin^2(j alpha / 2) / sin^2(alpha / 2). Where |sin(alpha / 2)|
+    # is below _RESONANT it is the j^2 limit (k j)^2 / 2, which differs from
+    # the closed form by at most (n sin(alpha / 2))^2 / 3 relative over n kicks.
+    # The closed form's own rounding grows like 1e-16 / |sin(alpha / 2)|, so
+    # near-resonant cases stay at |sin(alpha / 2)| >= 5e-4. _BOUND (relative
+    # to the curve's peak) lies above the largest error of runs this test does
+    # not make: 6.4e-12 at k = 2, alpha = 2 pi - 1e-4, 40 kicks, and at most
+    # 8.1e-13 at k, alpha, kicks = (0.5, 0.3, 300), (5, 2, 300), (2, 3, 500),
+    # (6, 0.9, 200), (4, 2 pi - 1e-2, 100), (1, 2 pi + 1e-3, 80),
+    # (2.5, 4 pi - 2e-3, 60), (1, 4 pi, 80) and (3, 1e-3, 60).
+    _RESONANT = 1e-12
+    _BOUND = 1e-11
+
+    @pytest.mark.parametrize("k, alpha, n, halfwidth", [
+        (3.0, 0.481, 400, 150),
+        (1.5, 1.0, 500, 120),
+        (3.0, 2 * math.pi - 1e-3, 60, 400),
+        (2.0, 2 * math.pi, 60, 300),  # sin(alpha / 2) rounds to 1.2e-16
+    ], ids=["off-resonance", "alpha-1", "near-resonance", "resonance"])
+    def test_unmeasured_dispersion_follows_the_closed_form(self, k, alpha, n, halfwidth):
+        config = ExperimentConfig(
+            "kicked", spectrum="linear", k=k, tau=1.0, omega=alpha, n_kicks=n,
+            window_halfwidth=halfwidth,
+        )
+        d = run_experiment(config).aggregate.dispersion
+        j = np.arange(n + 1)
+        half = math.sin(alpha / 2)
+        if abs(half) < self._RESONANT:
+            expected = (k * j) ** 2 / 2
+        else:
+            expected = (k * k / 2) * np.sin(j * alpha / 2) ** 2 / half**2
+        peak = expected.max()
+        assert np.max(np.abs(d - expected)) <= self._BOUND * peak
 
 
 class TestStep:

@@ -365,7 +365,12 @@ class TestRunExperiment:
         )
         with pytest.raises(TruncationOverflowError) as excinfo:
             run_experiment(config)
-        assert "window_halfwidth" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            "run aborted after kick 1: probability 7.430e-04 within 23 states of both "
+            "window edges (m_min=470, m_max=530) exceeds 1e-10; rerun with a "
+            "window_halfwidth larger than 30"
+        )
+        assert excinfo.value.edge == "both"
 
     def test_zeno_series_follows_closed_form(self):
         config = ExperimentConfig(experiment="zeno", n_kicks=20, omega=1.0, tau=1.0)
@@ -407,6 +412,15 @@ class TestRunExperiment:
             assert np.array_equal(getattr(record.aggregate, column), rows[0])
             with pytest.raises(ValueError):
                 rows[0, 0] = 0.0
+        # a readout whose period exceeds the run never fires: one row, the
+        # unmeasured run's bytes
+        calls.clear()
+        never = _small_config(
+            n_kicks=50, measurement_mode="initial", measurement_period=100, realizations=3
+        )
+        csv = render_csv(run_experiment(never).aggregate)
+        assert len(calls) == 50
+        assert csv == render_csv(run_experiment(never.with_preset("a")).aggregate)
 
     def test_classical_series_runs(self):
         config = ExperimentConfig(
