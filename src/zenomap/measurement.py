@@ -3,10 +3,10 @@
 Reading out the population of a basis state leaves its occupation unchanged
 but erases all interference between that state and the rest: the amplitude
 keeps its modulus and acquires a fresh uniform random phase, uncorrelated
-with anything drawn before. After every ``period``-th kick a schedule reads
-out the states selected by its mode, one of ``MODES``: ``"none"`` (no state,
-no draw), ``"subset"`` (a fixed nonempty list ``subset``), ``"all"`` (every
-state of the window) or ``"initial"`` (the window's initial state ``m0``).
+with anything drawn before. After each kick in ``MeasurementSchedule.kicks``
+a schedule reads out the states of its mode, one of ``MODES``: ``"all"`` (the
+whole window), or a few states in one way: ``"subset"`` (a fixed nonempty
+list ``subset``), ``"initial"`` (``(m0,)``, the initial state) or ``"none"``.
 
 Phase draws are owned by an exclusive, seeded stream so that runs are
 bit-reproducible: a measurement event consumes exactly one draw per measured
@@ -19,10 +19,10 @@ the tabulated ``exp(i*h*s)`` (4097 entries, 64 KiB, built once at import)
 times ``exp(i*r)`` from its Taylor series through ``r^5``, whose truncation
 error is below 1e-19. The result agrees with ``np.exp(1j*beta)`` to a few
 units in the last place, and the draws are the same as with the exponential.
-A subset or initial-state readout touches a handful of amplitudes, where the
-exponential is cheaper than the split, so it keeps ``np.exp``. An all-states
-readout still draws one phase per window state, but builds factors only for
-the state's ``support``, outside which every amplitude is zero.
+A few-state readout touches a handful of amplitudes, where the exponential
+is cheaper than the split, so it keeps ``np.exp``. An all-states readout
+still draws one phase per window state, but builds factors only for the
+state's ``support``, outside which every amplitude is zero.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ MODES = ("none", "subset", "all", "initial")
 
 @dataclass(frozen=True)
 class MeasurementSchedule:
-    """Which states are read out (``mode``, one of ``MODES``), every how many kicks."""
+    """Which states are read out (``mode``, one of ``MODES``), after which kicks (``kicks``)."""
 
     mode: str
     period: int = 1
@@ -65,6 +65,11 @@ class MeasurementSchedule:
             object.__setattr__(self, "subset", ordered)
         elif self.subset is not None:
             raise ValueError(f"subset given but mode is {self.mode}")
+
+    def kicks(self, n_kicks: int) -> range:
+        """The kicks ``1 <= j <= n_kicks`` after which a readout fires."""
+        stop = 0 if self.mode == "none" else n_kicks + 1
+        return range(self.period, stop, self.period)
 
 
 @dataclass
@@ -130,40 +135,27 @@ def _phase_factors(betas: np.ndarray) -> np.ndarray:
     return factors
 
 
-def should_measure(schedule: MeasurementSchedule, j: int) -> bool:
-    """True when a measurement fires after kick ``j``."""
-    if j < 1:
-        raise ValueError(f"kick index must be >= 1, got {j}")
-    return schedule.mode != "none" and j % schedule.period == 0
-
-
 def apply_measurement(
     state: QuantumState, schedule: MeasurementSchedule, rng: PhaseRandomizer
 ) -> QuantumState:
-    """Randomize the phases of the measured amplitudes.
+    """Randomize the phases of the measured amplitudes; return a new state.
 
     Occupations are untouched exactly (the amplitudes are multiplied by unit
     phase factors) and unmeasured amplitudes are left bit-identical, so any
-    interference among unmeasured states survives. ``"none"`` schedules
-    return the input state unchanged without consuming a draw.
+    interference among unmeasured states survives. A few-state readout takes
+    one draw per state, in ascending ``m`` (none for ``"none"``), and raises
+    ``ValueError`` for a state outside the window.
     """
-    if schedule.mode == "none":
-        return state
     window = state.window
-    if schedule.mode == "all":
-        # Every state takes its draw, so the stream does not depend on the
-        # support, but only the draws of the support become factors.
-        lo, hi = state.support
-        factors = _phase_factors(rng.phases(window.size)[lo:hi])
-        out = np.zeros(window.size, dtype=np.complex128)
-        np.multiply(factors, state.amplitudes[lo:hi], out=out[lo:hi])
-        return QuantumState(window, out, state.time_index, state.support)
     out = state.amplitudes.copy()
-    if schedule.mode == "initial":
-        # the same single draw and factor as a subset readout of m0
-        home = window.m0 - window.m_min
-        out[home:home + 1] *= np.exp(1j * rng.phases(1))
+    if schedule.mode == "all":
+        # Every state draws, so the stream does not depend on the support.
+        # Factors first: numpy's complex product is not bitwise symmetric.
+        lo, hi = state.support
+        a = out[lo:hi]
+        np.multiply(_phase_factors(rng.phases(window.size)[lo:hi]), a, out=a)
     else:
-        positions = [window.offset(m) for m in schedule.subset]  # raises if outside
-        out[positions] *= np.exp(1j * rng.phases(len(positions)))
+        states = {"none": (), "initial": (window.m0,)}.get(schedule.mode, schedule.subset)
+        positions = np.array([window.offset(m) for m in states], dtype=np.intp)
+        out[positions] *= np.exp(1j * rng.phases(positions.size))
     return QuantumState(window, out, state.time_index, state.support)

@@ -62,7 +62,6 @@ from .measurement import (
     MeasurementSchedule,
     PhaseRandomizer,
     apply_measurement,
-    should_measure,
 )
 from .observables import DispersionSeries, dispersion
 from .pool import map_chunks, thread_budget
@@ -170,8 +169,8 @@ def _simulate_kicked(config: ExperimentConfig) -> np.ndarray:
     n = config.n_kicks
     j = np.arange(n + 1)
     # a readout that never fires draws no phase: every realization is realization 0
-    fires = schedule.mode != "none" and schedule.period <= n
-    rows = np.empty((3, config.realizations if fires else 1, n + 1))
+    readouts = schedule.kicks(n)
+    rows = np.empty((3, config.realizations if readouts else 1, n + 1))
     for r in range(rows.shape[1]):
         rng = PhaseRandomizer(config.seed, r)
         state = QuantumState.delta(window)
@@ -179,7 +178,7 @@ def _simulate_kicked(config: ExperimentConfig) -> np.ndarray:
         for kick in range(n + 1):
             if kick:
                 state = step(state, kernel, spectrum)
-                if should_measure(schedule, kick):
+                if kick in readouts:
                     state = apply_measurement(state, schedule, rng)
             disp[kick] = dispersion(state)
             norm[kick] = state.norm_sq()

@@ -13,7 +13,6 @@ from zenomap.measurement import (
     PhaseRandomizer,
     _phase_factors,
     apply_measurement,
-    should_measure,
 )
 
 from reference import occupations
@@ -21,18 +20,20 @@ from reference import occupations
 
 class TestSchedule:
     def test_fires_on_period_multiples(self):
-        schedule = MeasurementSchedule("all", period=200)
-        assert should_measure(schedule, 200)
-        assert not should_measure(schedule, 201)
-        assert should_measure(schedule, 400)
+        kicks = MeasurementSchedule("all", period=200).kicks(500)
+        assert 200 in kicks
+        assert 201 not in kicks
+        assert 400 in kicks
+        assert list(kicks) == [200, 400]
 
     def test_none_never_fires(self):
-        schedule = MeasurementSchedule("none")
-        assert not any(should_measure(schedule, j) for j in range(1, 500))
+        kicks = MeasurementSchedule("none").kicks(500)
+        assert not any(j in kicks for j in range(1, 500))
+        assert len(kicks) == 0
 
     def test_kick_index_starts_at_one(self):
-        with pytest.raises(ValueError):
-            should_measure(MeasurementSchedule("all"), 0)
+        assert 0 not in MeasurementSchedule("all").kicks(10)
+        assert list(MeasurementSchedule("all").kicks(3)) == [1, 2, 3]
 
     def test_period_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -70,8 +71,11 @@ class TestApplyMeasurement:
     def test_none_returns_identical_state(self):
         window = BasisWindow.centered(0, 10)
         state = _random_state(window, 0)
-        out = apply_measurement(state, MeasurementSchedule("none"), PhaseRandomizer(1))
-        assert out is state
+        used, unused = PhaseRandomizer(1), PhaseRandomizer(1)
+        out = apply_measurement(state, MeasurementSchedule("none"), used)
+        assert out is not state
+        assert np.array_equal(out.amplitudes.view(np.int64), state.amplitudes.view(np.int64))
+        assert used._rng.bit_generator.state == unused._rng.bit_generator.state
 
     def test_full_measurement_preserves_occupations(self):
         window = BasisWindow.centered(0, 50)
@@ -122,6 +126,26 @@ class TestApplyMeasurement:
             state, MeasurementSchedule("subset", 1, (7,)), PhaseRandomizer(17)
         )
         assert np.array_equal(initial.amplitudes, subset.amplitudes)
+
+    @pytest.mark.parametrize("schedule, states", [
+        (MeasurementSchedule("subset", 1, (7, -3, 0)), [-3, 0, 7]),
+        (MeasurementSchedule("initial"), [7]),
+    ], ids=["subset", "initial"])
+    def test_few_state_readout_draws_once_per_state_in_ascending_m(self, schedule, states):
+        # the stream contract, bit for bit: draw i multiplies the i-th read-out
+        # state in ascending m, and every other amplitude keeps its bits. The
+        # product is taken in place, as numpy's complex product may round a
+        # lone element differently out of place.
+        window = BasisWindow(-20, 20, 7)
+        state = _random_state(window, 18)
+        used, reference = PhaseRandomizer(19, 3), PhaseRandomizer(19, 3)
+        out = apply_measurement(state, schedule, used)
+        betas = reference.phases(len(states))
+        assert used._rng.bit_generator.state == reference._rng.bit_generator.state
+        positions = [window.offset(m) for m in states]
+        expected = state.amplitudes.copy()
+        expected[positions] *= np.exp(1j * betas)
+        assert np.array_equal(out.amplitudes.view(np.int64), expected.view(np.int64))
 
     def test_subset_outside_window_rejected(self):
         window = BasisWindow.centered(0, 10)

@@ -501,13 +501,28 @@ def _alone(config: ExperimentConfig, r: int) -> DispersionSeries:
     return ensemble_series(ensemble, config.n_kicks)
 
 
-def _spied_blocks(monkeypatch) -> list:
-    """Record (particles, realizations, steps) of every ``runner.ensemble_series`` call."""
+def _spied_blocks(monkeypatch, config: ExperimentConfig) -> list:
+    """Record (first row, particles, realizations, steps) of every
+    ``runner.ensemble_series`` call of a classical run of ``config``.
+
+    Pool threads make the calls in either order; the first row is the
+    realization whose first prepared angle starts the block, so sorting the
+    calls puts them in row order.
+    """
+    rows = {
+        ClassicalEnsemble.prepared(
+            config.particles, float(config.m0), config.tau, config.k,
+            seed=np.random.SeedSequence(config.seed, spawn_key=(0, r)),
+        ).particles[0]: r
+        for r in range(config.realizations)
+    }
+    assert len(rows) == config.realizations
     calls = []
     real = runner.ensemble_series
 
     def spied(ensemble, steps):
-        calls.append((len(ensemble.particles), ensemble.realizations, steps))
+        first = rows[ensemble.particles[0]]
+        calls.append((first, len(ensemble.particles), ensemble.realizations, steps))
         return real(ensemble, steps)
 
     monkeypatch.setattr(runner, "ensemble_series", spied)
@@ -526,9 +541,12 @@ class TestClassicalBlocks:
         config = ExperimentConfig("classical", particles=300, n_kicks=30, realizations=7, seed=4)
         monkeypatch.setenv("ZENO_MAP_THREADS", threads)
         monkeypatch.setattr(runner, "_BLOCK_PARTICLES", rows * config.particles)
-        calls = _spied_blocks(monkeypatch)
+        calls = _spied_blocks(monkeypatch, config)
         runs = run_experiment(config).realizations
-        assert calls == [(b * config.particles, b, config.n_kicks) for b in blocks]
+        firsts = [sum(blocks[:i]) for i in range(len(blocks))]
+        assert sorted(calls) == [
+            (first, b * config.particles, b, config.n_kicks) for first, b in zip(firsts, blocks)
+        ]
         for r in range(config.realizations):
             alone = _alone(config, r)
             for column in ("dispersion", "norm", "p_m0"):
@@ -539,9 +557,9 @@ class TestClassicalBlocks:
     def test_budget_below_one_realization_gives_one_row(self, monkeypatch):
         config = ExperimentConfig("classical", particles=300, n_kicks=5, realizations=3)
         monkeypatch.setattr(runner, "_BLOCK_PARTICLES", 100)
-        calls = _spied_blocks(monkeypatch)
+        calls = _spied_blocks(monkeypatch, config)
         run_experiment(config)
-        assert calls == [(300, 1, 5)] * 3
+        assert sorted(calls) == [(r, 300, 1, 5) for r in range(3)]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_every_particle_step_goes_through_ensemble_series(self, monkeypatch, threads):
@@ -552,11 +570,11 @@ class TestClassicalBlocks:
                                   seed=1)
         monkeypatch.setenv("ZENO_MAP_THREADS", threads)
         expected = run_experiment(config).aggregate
-        calls = _spied_blocks(monkeypatch)
+        calls = _spied_blocks(monkeypatch, config)
         series = run_experiment(config).aggregate
         rows = min(max(1, runner._BLOCK_PARTICLES // config.particles),
                    math.ceil(config.realizations / int(threads)))
-        assert sum(particles * steps for particles, _, steps in calls) == 10_000 * 3 * 20
+        assert sum(particles * steps for _, particles, _, steps in calls) == 10_000 * 3 * 20
         assert len(calls) == math.ceil(config.realizations / rows)
         for column in ("dispersion", "norm", "p_m0"):
             assert np.array_equal(getattr(series, column), getattr(expected, column))
