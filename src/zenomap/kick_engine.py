@@ -39,7 +39,8 @@ kick of a one-bin state, is the same bit for bit.
 Operations never mutate their input. :func:`step` kicks into a new vector
 and then moves that vector, which no caller holds yet, through the free
 flight in place; :func:`apply_free` runs the same flight on a copy of its
-input.
+input. Only a readout given ``in_place=True``
+(:func:`zenomap.measurement.apply_measurement`) writes into its input.
 """
 
 from __future__ import annotations
@@ -123,9 +124,10 @@ class QuantumState:
 
     ``time_index`` counts completed kicks; the amplitudes always describe
     the state immediately before the next kick. Operations return new
-    states and never mutate their input: :func:`step` moves the vector that
-    its own :func:`apply_kick` call has just returned through the free
-    flight in place, and that vector belongs to no caller.
+    states and never mutate their input, unless given ``in_place=True``:
+    :func:`step` moves the vector that its own :func:`apply_kick` call has
+    just returned through the free flight in place, and that vector belongs
+    to no caller.
 
     ``support = (lo, hi)`` is a nonempty half-open range of array positions
     outside which every amplitude is exactly zero; operations read and write

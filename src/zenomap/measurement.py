@@ -23,6 +23,10 @@ A few-state readout touches a handful of amplitudes, where the exponential
 is cheaper than the split, so it keeps ``np.exp``. An all-states readout
 still draws one phase per window state, but builds factors only for the
 state's ``support``, outside which every amplitude is zero.
+
+A readout returns a new state, unless it is given ``in_place=True``: then it
+randomizes the input's own amplitudes and returns the input, which only a
+caller that holds no other reference to that state may ask for.
 """
 
 from __future__ import annotations
@@ -136,26 +140,34 @@ def _phase_factors(betas: np.ndarray) -> np.ndarray:
 
 
 def apply_measurement(
-    state: QuantumState, schedule: MeasurementSchedule, rng: PhaseRandomizer
+    state: QuantumState,
+    schedule: MeasurementSchedule,
+    rng: PhaseRandomizer,
+    *,
+    in_place: bool = False,
 ) -> QuantumState:
-    """Randomize the phases of the measured amplitudes; return a new state.
+    """Randomize the phases of the measured amplitudes; return a new state,
+    or ``state`` itself, randomized in place, when ``in_place`` is true.
 
     Occupations are untouched exactly (the amplitudes are multiplied by unit
     phase factors) and unmeasured amplitudes are left bit-identical, so any
     interference among unmeasured states survives. A few-state readout takes
     one draw per state, in ascending ``m`` (none for ``"none"``), and raises
-    ``ValueError`` for a state outside the window.
+    ``ValueError`` for a state outside the window before it draws or writes
+    anything.
     """
     window = state.window
-    out = state.amplitudes.copy()
+    amplitudes = state.amplitudes if in_place else state.amplitudes.copy()
     if schedule.mode == "all":
         # Every state draws, so the stream does not depend on the support.
         # Factors first: numpy's complex product is not bitwise symmetric.
         lo, hi = state.support
-        a = out[lo:hi]
+        a = amplitudes[lo:hi]
         np.multiply(_phase_factors(rng.phases(window.size)[lo:hi]), a, out=a)
     else:
         states = {"none": (), "initial": (window.m0,)}.get(schedule.mode, schedule.subset)
         positions = np.array([window.offset(m) for m in states], dtype=np.intp)
-        out[positions] *= np.exp(1j * rng.phases(positions.size))
-    return QuantumState(window, out, state.time_index, state.support)
+        amplitudes[positions] *= np.exp(1j * rng.phases(positions.size))
+    if in_place:
+        return state
+    return QuantumState(window, amplitudes, state.time_index, state.support)

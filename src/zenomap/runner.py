@@ -179,7 +179,8 @@ def _simulate_kicked(config: ExperimentConfig) -> np.ndarray:
             if kick:
                 state = step(state, kernel, spectrum)
                 if kick in readouts:
-                    state = apply_measurement(state, schedule, rng)
+                    # the state step has just returned: no one else holds it
+                    state = apply_measurement(state, schedule, rng, in_place=True)
             disp[kick] = dispersion(state)
             norm[kick] = state.norm_sq()
             p_home[kick] = abs(state.amplitudes[home]) ** 2

@@ -364,6 +364,36 @@ class TestLinearLadder:
         peak = expected.max()
         assert np.max(np.abs(d - expected)) <= self._BOUND * peak
 
+    # Read out every kick, the linear ladder's dispersion grows by k^2 / 2 a
+    # kick on average, j k^2 / 2 after j kicks. The unmeasured curve equals it
+    # where j = sin^2(j alpha / 2) / sin^2(alpha / 2): readout lowers the
+    # dispersion before that kick (Zeno) and raises it after (anti-Zeno). Off
+    # resonance (alpha = 0.481) the crossing falls between kicks 9 and 10;
+    # past kick 1 / sin^2(alpha / 2) ~ 17.6 the read-out curve stays above
+    # the unmeasured one's ceiling of 79.4. Near resonance (alpha = 2 pi -
+    # 1e-3) the crossing lies near kick 2 pi / 1e-3, far beyond 60 kicks. The
+    # asserted kicks stay well away from the crossings: over seeds 0-3 and 7,
+    # the 20-realization mean was at most 0.6 of the unmeasured curve at
+    # kicks 2-5 (and at kicks 2-60 near resonance), and at least 1.6 times it
+    # from kick 30 on.
+    @pytest.mark.parametrize("alpha, halfwidth, lower, higher", [
+        (0.481, 150, range(2, 6), range(30, 61)),
+        (2 * math.pi - 1e-3, 400, range(2, 61), range(0)),
+    ], ids=["off-resonance", "near-resonance"])
+    def test_readout_lowers_the_dispersion_before_the_crossing_and_raises_it_after(
+        self, alpha, halfwidth, lower, higher,
+    ):
+        config = ExperimentConfig(
+            "kicked", spectrum="linear", k=3.0, tau=1.0, omega=alpha, n_kicks=60,
+            window_halfwidth=halfwidth, seed=3,
+        )
+        unmeasured = run_experiment(config).aggregate.dispersion
+        measured = run_experiment(dataclasses.replace(
+            config, measurement_mode="all", realizations=20,
+        )).aggregate.dispersion
+        assert np.all(measured[lower] < unmeasured[lower])
+        assert np.all(measured[higher] > unmeasured[higher])
+
 
 class TestStep:
     def test_trivial_step_only_advances_time(self):

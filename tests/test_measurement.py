@@ -147,12 +147,38 @@ class TestApplyMeasurement:
         expected[positions] *= np.exp(1j * betas)
         assert np.array_equal(out.amplitudes.view(np.int64), expected.view(np.int64))
 
+    @pytest.mark.parametrize("schedule", [
+        MeasurementSchedule("none"),
+        MeasurementSchedule("initial"),
+        MeasurementSchedule("subset", 1, (12, -3, 7)),
+        MeasurementSchedule("all"),
+    ], ids=["none", "initial", "subset", "all"])
+    def test_in_place_readout_gives_the_bits_of_the_pure_call(self, schedule):
+        window = BasisWindow(-20, 20, 7)
+        state = _random_state(window, 21)
+        pure_rng, used = PhaseRandomizer(22, 1), PhaseRandomizer(22, 1)
+        pure = apply_measurement(state, schedule, pure_rng)
+        buffer = state.amplitudes
+        out = apply_measurement(state, schedule, used, in_place=True)
+        assert out is state
+        assert state.amplitudes is buffer
+        assert np.array_equal(state.amplitudes.view(np.int64), pure.amplitudes.view(np.int64))
+        assert used._rng.bit_generator.state == pure_rng._rng.bit_generator.state
+
     def test_subset_outside_window_rejected(self):
+        # before any draw or write, in place or not: -3 comes first in
+        # ascending m and lies in the window, so a readout that wrote before
+        # it had checked every state would change its amplitude
         window = BasisWindow.centered(0, 10)
-        state = QuantumState.delta(window)
-        schedule = MeasurementSchedule("subset", 1, (25,))
-        with pytest.raises(ValueError):
-            apply_measurement(state, schedule, PhaseRandomizer(6))
+        state = _random_state(window, 25)
+        before = state.amplitudes.copy()
+        schedule = MeasurementSchedule("subset", 1, (25, -3, 4))
+        used, unused = PhaseRandomizer(26), PhaseRandomizer(26)
+        for in_place in (False, True):
+            with pytest.raises(ValueError, match="outside window"):
+                apply_measurement(state, schedule, used, in_place=in_place)
+            assert np.array_equal(state.amplitudes.view(np.int64), before.view(np.int64))
+            assert used._rng.bit_generator.state == unused._rng.bit_generator.state
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

@@ -23,8 +23,8 @@ from zenomap import (
 )
 from zenomap.chart import emit_chart, render_chart
 from zenomap.classical import ensemble_series
-from zenomap.measurement import PhaseRandomizer
-from zenomap.observables import DispersionSeries
+from zenomap.measurement import PhaseRandomizer, apply_measurement
+from zenomap.observables import DispersionSeries, dispersion
 from zenomap.runner import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -470,9 +470,9 @@ class TestRunExperiment:
                                "norm_sq", "draws"), 0)
 
         def counted(name, fn, amount=lambda *args: 1):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += amount(*args)
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         for owner, name in ((runner, "step"), (runner, "apply_measurement"),
@@ -490,6 +490,47 @@ class TestRunExperiment:
         }
         for column in ("dispersion", "norm", "p_m0"):
             assert np.array_equal(getattr(series, column), getattr(expected, column))
+
+    @pytest.mark.parametrize("preset", ["a", "b", "c", "d", "subset"])
+    def test_rows_equal_a_loop_of_the_pure_calls(self, preset):
+        # The runner reads out in place the state that step has just
+        # returned. The documented path, public calls that return new states,
+        # must give the same rows bit for bit.
+        config = _small_config(k=5.0, window_halfwidth=200, n_kicks=30, realizations=2)
+        if preset == "subset":
+            config = dataclasses.replace(config, measurement_mode="subset",
+                                         subset=(507, 500, 495), measurement_period=3)
+        else:
+            config = config.with_preset(preset)
+        if preset == "c":  # preset c's period of 200 never fires in 30 kicks
+            config = dataclasses.replace(config, measurement_period=7)
+        runs = run_experiment(config).realizations
+        got = np.stack([runs.dispersion, runs.norm, runs.p_m0])
+        assert np.array_equal(got.view(np.int64), _pure_rows(config).view(np.int64))
+
+
+def _pure_rows(config: ExperimentConfig) -> np.ndarray:
+    """A kicked run's (3, R, n + 1) rows from the public calls alone, each of
+    which returns a new state; the readout fires after every
+    ``measurement_period``-th kick."""
+    window = config.window()
+    kernel = kick_engine.build_kernel(config.k)
+    spectrum = config.spectrum_model(window)
+    schedule = config.schedule()
+    home = window.offset(config.m0)
+    rows = np.empty((3, config.realizations, config.n_kicks + 1))
+    for r in range(config.realizations):
+        rng = PhaseRandomizer(config.seed, r)
+        state = QuantumState.delta(window)
+        for kick in range(config.n_kicks + 1):
+            if kick:
+                state = kick_engine.step(state, kernel, spectrum)
+                if config.measurement_mode != "none" and kick % config.measurement_period == 0:
+                    state = apply_measurement(state, schedule, rng)
+            rows[:, r, kick] = (
+                dispersion(state), state.norm_sq(), abs(state.amplitudes[home]) ** 2
+            )
+    return rows
 
 
 def _alone(config: ExperimentConfig, r: int) -> DispersionSeries:
