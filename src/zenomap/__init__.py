@@ -15,6 +15,34 @@ classes; everything else is imported from its module (``zenomap.runner``,
 
 __version__ = "0.1.0"
 
+# OpenBLAS reads these once, when numpy loads it.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _load_blas_with_one_thread() -> None:
+    """Import numpy with one BLAS thread, unless the caller chose a count.
+
+    zenomap's BLAS calls are the kick's small blocked products and the norm
+    and dispersion dot products. numpy's OpenBLAS would start a worker per
+    CPU that spins idle after the import, and it splits a dot product of
+    more than about 10^4 states across its threads, which moves the last
+    bits of the result with the machine's CPU count. The variable is set for
+    the import only, so child processes inherit the caller's environment.
+    """
+    import os
+    import sys
+
+    if "numpy" in sys.modules or any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_load_blas_with_one_thread()
+
 from .classical import ClassicalEnsemble, ensemble_diffusion
 from .errors import (
     ConfigError,
