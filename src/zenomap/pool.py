@@ -3,14 +3,16 @@
 ``ZENO_MAP_THREADS`` caps the number of threads (default: the CPUs the
 process may run on). :func:`map_chunks` alone decides how many items each
 thread takes; callers write each chunk into their own slice of the output,
-so what they build does not depend on the thread count.
+so what they build does not depend on the thread count. The executor
+(``concurrent.futures``, which loads ``logging`` and ``queue`` with it) is
+imported at the first call that starts threads, so ``import zenomap``, a
+kicked run and a one-thread run never load it.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, Optional
 
 from .errors import ConfigError
@@ -52,6 +54,9 @@ def map_chunks(fn: Callable[[int, int], None], total: int, cap: Optional[int] = 
         for lo, hi in chunks:
             fn(lo, hi)
         return
+    # imported here, so that a run that never starts threads never loads it
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in chunks]
         wait(futures, return_when=FIRST_EXCEPTION)

@@ -1,12 +1,14 @@
 """Config-driven experiment runner: scenarios and CSV series.
 
 A run is described by a flat ``key = value`` text document (``#`` starts a
-comment, unknown keys are rejected). ``CONFIG_KEYS`` holds each key's parser
-and bound; the command line checks its options by the same rules. The
-defaults reproduce the canonical kicked-rotator scenario: initial state 500,
-kick strength 10, period 1, momentum window halfwidth 2000. Scenario presets
-a-d select the four measurement schedules (none / initial state every kick /
-all states every 200 kicks / all states every kick).
+comment, unknown keys are rejected, and so is a key set away from its default
+that the run's experiment does not read: see ``_READS``). ``CONFIG_KEYS``
+holds each key's parser and bound; the command line checks its options by
+the same rules. The defaults reproduce the canonical kicked-rotator
+scenario: initial state 500, kick strength 10, period 1, momentum window
+halfwidth 2000. Scenario presets a-d select the four measurement schedules
+(none / initial state every kick / all states every 200 kicks / all states
+every kick).
 
 Reproducibility contract: a run is a pure function of (config, seed).
 Measurement phases for realization ``r`` come from the substream
@@ -90,8 +92,9 @@ _SPECTRA = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully validated description of one run: every construction checks each
-    field's ``CONFIG_KEYS`` rule, the schedule, the window and, for a kicked
-    run, that the window holds the kick kernel (``ConfigError``)."""
+    field's ``CONFIG_KEYS`` rule, that the run reads every key set away from
+    its default (``_READS``), the schedule, the window and, for a kicked run,
+    that the window holds the kick kernel (``ConfigError``)."""
 
     experiment: str
     spectrum: str = "rotator"
@@ -114,6 +117,20 @@ class ExperimentConfig:
         for key, rule in CONFIG_KEYS.items():
             if not rule.accepts(getattr(self, key)):
                 raise ConfigError(rule.message, key)
+        reads = _READS[self.experiment]
+        for field in dataclasses.fields(self):
+            key = field.name
+            if key in _SHARED_KEYS or getattr(self, key) == field.default:
+                continue
+            if key not in reads:
+                raise ConfigError(f"a {self.experiment} run does not read this key", key)
+            if reads[key] is not None:
+                other, values = reads[key]
+                if getattr(self, other) not in values:
+                    raise ConfigError(
+                        f"a {self.experiment} run reads this key only with "
+                        f"{other} = {' or '.join(values)}", key,
+                    )
         try:
             self.schedule()
         except ValueError as err:
@@ -149,6 +166,12 @@ class ExperimentConfig:
     def with_preset(self, letter: str) -> "ExperimentConfig":
         if letter not in PRESETS:
             raise ConfigError(f"unknown preset '{letter}'; choose one of {', '.join(PRESETS)}")
+        if self.experiment != "kicked":
+            # preset a sets only defaults, which a non-kicked run would accept
+            raise ConfigError(
+                f"preset '{letter}' sets a kicked run's readout; "
+                f"this is a {self.experiment} run"
+            )
         return dataclasses.replace(self, subset=None, **PRESETS[letter])
 
 
@@ -226,6 +249,30 @@ _SIMULATORS = {
     "zeno": _simulate_zeno,
     "kicked": _simulate_kicked,
     "classical": _simulate_classical,
+}
+
+# Keys every run reads, whatever its experiment.
+_SHARED_KEYS = ("experiment", "seed", "realizations", "output_path", "emit_svg")
+
+# The other keys each experiment reads: ``None`` for a key it always reads, or
+# ``(other, values)`` for one it reads only while key ``other`` is in
+# ``values``. ExperimentConfig refuses a key whose value differs from its
+# default but that the run does not read.
+_READS = {
+    "zeno": dict.fromkeys(("tau", "omega", "n_kicks")),
+    "kicked": {
+        "spectrum": None,
+        "m0": None,
+        "k": None,
+        "tau": ("spectrum", ("rotator", "linear")),  # a random spectrum has no period
+        "n_kicks": None,
+        "window_halfwidth": None,
+        "measurement_mode": None,
+        "measurement_period": ("measurement_mode", tuple(m for m in MODES if m != "none")),
+        "subset": None,
+        "omega": ("spectrum", ("linear",)),
+    },
+    "classical": dict.fromkeys(("m0", "k", "tau", "n_kicks", "particles")),
 }
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import concurrent.futures
 import os
 import warnings
 
@@ -8,7 +9,6 @@ import pytest
 import zenomap.cli as cli
 import zenomap.kick_engine as kick_engine
 import zenomap.measurement as measurement
-import zenomap.pool as pool
 import zenomap.runner as runner
 from zenomap import QuantumState
 from zenomap.cli import main
@@ -109,6 +109,25 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "key 'window_halfwidth'" in err
+
+    @pytest.mark.parametrize("document, argv, message", [
+        ("experiment = classical\nparticles = 500\nmeasurement_mode = all\n", [],
+         "config error: a classical run does not read this key "
+         "(key 'measurement_mode', line 3)\n"),
+        ("experiment = classical\nparticles = 500\n", ["--preset", "a"],
+         "config error: preset 'a' sets a kicked run's readout; this is a classical run\n"),
+    ], ids=["unread-key", "preset"])
+    def test_what_a_classical_run_does_not_read_is_config_error(
+        self, document, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        def no_run(config):
+            raise AssertionError("the simulation started with a key it does not read")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
+        path = tmp_path / "classical.cfg"
+        path.write_text(document)
+        assert main(["run", str(path), *argv]) == 2
+        assert capsys.readouterr().err == message
 
     def test_truncation_is_numerical_error(self, tmp_path):
         path = tmp_path / "narrow.cfg"
@@ -236,7 +255,7 @@ class TestZenoCommand:
 
         monkeypatch.delenv("ZENO_MAP_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert main(["zeno", "--n", "8", "--trials", "1000"]) == 0
 
     @pytest.mark.parametrize("threads", ["zero", "0"])

@@ -1,5 +1,6 @@
 """Config parsing, experiment execution, CSV and SVG output."""
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -27,6 +28,7 @@ from zenomap.measurement import PhaseRandomizer, apply_measurement
 from zenomap.observables import DispersionSeries, dispersion
 from zenomap.runner import (
     CONFIG_KEYS,
+    PRESETS,
     ExperimentConfig,
     RunRecord,
     parse_config,
@@ -197,10 +199,141 @@ def test_kick_wider_than_the_window_is_refused_without_building_the_kernel(monke
 
 
 def test_only_a_kicked_run_needs_the_kernel_in_its_window():
-    for experiment in ("classical", "zeno"):
-        assert ExperimentConfig(experiment, window_halfwidth=8).window_halfwidth == 8
+    # k = 3000 reaches past the default window; a classical run has no window
+    assert ExperimentConfig("classical", k=3000.0).k == 3000.0
     assert ExperimentConfig("kicked", k=0.0, window_halfwidth=8).window_halfwidth == 8
     assert ExperimentConfig("kicked", window_halfwidth=32).window_halfwidth == 32
+
+
+# A value other than the default for every key but ``experiment``, as text.
+_NON_DEFAULT = {
+    "spectrum": "linear",
+    "m0": "7",
+    "k": "3.0",
+    "tau": "0.5",
+    "n_kicks": "3",
+    "window_halfwidth": "300",
+    "measurement_mode": "all",
+    "measurement_period": "2",
+    "subset": "7",
+    "seed": "3",
+    "realizations": "2",
+    "output_path": "series.csv",
+    "emit_svg": "true",
+    "omega": "0.5",
+    "particles": "50",
+}
+# What a kicked run needs beside a key for that key to be read.
+_KICKED_CONDITION = {
+    "tau": {"spectrum": "rotator"},
+    "measurement_period": {"measurement_mode": "all"},
+    "subset": {"measurement_mode": "subset"},
+    "omega": {"spectrum": "linear"},
+}
+_SHARED = {"seed", "realizations", "output_path", "emit_svg"}
+_READ = {
+    "kicked": set(_NON_DEFAULT) - {"particles"},
+    "classical": _SHARED | {"m0", "k", "tau", "n_kicks", "particles"},
+    "zeno": _SHARED | {"tau", "omega", "n_kicks"},
+}
+
+
+def _document(experiment: str, values: dict) -> str:
+    return "".join(f"{key} = {raw}\n" for key, raw in {"experiment": experiment, **values}.items())
+
+
+@pytest.mark.parametrize("key", _NON_DEFAULT)
+@pytest.mark.parametrize("experiment", _READ)
+def test_a_key_is_accepted_only_by_a_run_that_reads_it(experiment, key):
+    # the key goes last, so its line is the document's last
+    values = {**(_KICKED_CONDITION.get(key, {}) if experiment == "kicked" else {}),
+              key: _NON_DEFAULT[key]}
+    fields = {name: CONFIG_KEYS[name].parse(raw) for name, raw in values.items()}
+    document = _document(experiment, values)
+    if key in _READ[experiment]:
+        assert getattr(ExperimentConfig(experiment, **fields), key) == fields[key]
+        assert getattr(parse_config(document), key) == fields[key]
+        return
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig(experiment, **fields)
+    assert excinfo.value.key == key
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(document)
+    assert str(excinfo.value) == (
+        f"a {experiment} run does not read this key (key '{key}', line {len(values) + 1})"
+    )
+
+
+@pytest.mark.parametrize(
+    "key, condition, read",
+    [
+        ("tau", {"spectrum": "rotator"}, True),
+        ("tau", {"spectrum": "linear"}, True),
+        ("tau", {"spectrum": "random"}, False),
+        ("omega", {"spectrum": "linear"}, True),
+        ("omega", {"spectrum": "rotator"}, False),
+        ("omega", {"spectrum": "random"}, False),
+        ("measurement_period", {"measurement_mode": "all"}, True),
+        ("measurement_period", {"measurement_mode": "initial"}, True),
+        ("measurement_period", {"measurement_mode": "subset", "subset": "500"}, True),
+        ("measurement_period", {"measurement_mode": "none"}, False),
+    ],
+)
+def test_a_kicked_run_reads_some_keys_only_under_a_condition(key, condition, read):
+    values = {**condition, key: _NON_DEFAULT[key]}
+    fields = {name: CONFIG_KEYS[name].parse(raw) for name, raw in values.items()}
+    document = _document("kicked", values)
+    if read:
+        assert getattr(ExperimentConfig("kicked", **fields), key) == fields[key]
+        assert getattr(parse_config(document), key) == fields[key]
+        return
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig("kicked", **fields)
+    assert excinfo.value.key == key
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(document)
+    assert excinfo.value.key == key
+    assert excinfo.value.line == len(values) + 1
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("experiment = kicked\nspectrum = random\ntau = 2\n",
+         "a kicked run reads this key only with spectrum = rotator or linear "
+         "(key 'tau', line 3)"),
+        ("experiment = kicked\nomega = 2\n",
+         "a kicked run reads this key only with spectrum = linear (key 'omega', line 2)"),
+        ("experiment = kicked\nmeasurement_period = 5\n",
+         "a kicked run reads this key only with measurement_mode = subset or all or initial "
+         "(key 'measurement_period', line 2)"),
+        ("experiment = classical\nmeasurement_mode = all\n",
+         "a classical run does not read this key (key 'measurement_mode', line 2)"),
+    ],
+)
+def test_an_unread_key_message_is_pinned(document, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(document)
+    assert str(excinfo.value) == message
+
+
+def test_a_default_value_written_out_is_accepted_by_every_run():
+    for experiment in _READ:
+        config = parse_config(_document(experiment, {
+            "spectrum": "rotator", "measurement_mode": "none", "measurement_period": "1",
+            "window_halfwidth": "2000", "omega": "1.0", "particles": "10000", "k": "10",
+        }))
+        assert config == ExperimentConfig(experiment)
+
+
+@pytest.mark.parametrize("experiment", ["classical", "zeno"])
+@pytest.mark.parametrize("letter", PRESETS)
+def test_only_a_kicked_run_takes_a_preset(experiment, letter):
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig(experiment).with_preset(letter)
+    assert str(excinfo.value) == (
+        f"preset '{letter}' sets a kicked run's readout; this is a {experiment} run"
+    )
 
 
 def test_replace_checks_the_new_config():
@@ -316,7 +449,7 @@ class TestRunExperiment:
 
         monkeypatch.delenv("ZENO_MAP_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         # classical realizations, since kicked ones never start a pool
         config = ExperimentConfig("classical", n_kicks=5, particles=50, realizations=3)
         record = run_experiment(config)
@@ -327,20 +460,20 @@ class TestRunExperiment:
             raise AssertionError("a kicked run started a thread pool")
 
         monkeypatch.setenv("ZENO_MAP_THREADS", "2")
-        monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         record = run_experiment(_small_config(n_kicks=5))
         assert record.realizations.dispersion.shape == (3, 6)
 
     def test_classical_realizations_share_the_thread_budget(self, monkeypatch):
         started = []
-        real_pool = pool.ThreadPoolExecutor
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
         def counted_pool(max_workers):
             started.append(max_workers)
             return real_pool(max_workers=max_workers)
 
         monkeypatch.setenv("ZENO_MAP_THREADS", "2")
-        monkeypatch.setattr(pool, "ThreadPoolExecutor", counted_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
         run_experiment(ExperimentConfig("classical", n_kicks=5, particles=50, realizations=3))
         assert started == [2]
 
@@ -682,13 +815,13 @@ class TestMapChunks:
     def test_chunk_layout(self, monkeypatch, total, threads, cap, chunks):
         monkeypatch.setenv("ZENO_MAP_THREADS", str(threads))
         started = []
-        real_pool = pool.ThreadPoolExecutor
+        real_pool = concurrent.futures.ThreadPoolExecutor
 
         def counted_pool(max_workers):
             started.append(max_workers)
             return real_pool(max_workers=max_workers)
 
-        monkeypatch.setattr(pool, "ThreadPoolExecutor", counted_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
         calls = []
         assert pool.map_chunks(lambda lo, hi: calls.append((lo, hi)), total, cap) is None
         assert sorted(calls) == chunks
@@ -701,7 +834,7 @@ class TestMapChunks:
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setenv("ZENO_MAP_THREADS", str(threads))
-        monkeypatch.setattr(pool, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         calls = []
         pool.map_chunks(lambda lo, hi: calls.append((lo, hi)), total)
         assert calls == [(0, total)]
