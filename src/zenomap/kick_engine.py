@@ -36,11 +36,10 @@ to within a few units of roundoff (below 2e-16 absolute on a unit-norm
 state); every output bin that takes a single nonzero product, as after a
 kick of a one-bin state, is the same bit for bit.
 
-Operations never mutate their input. :func:`step` kicks into a new vector
-and then moves that vector, which no caller holds yet, through the free
-flight in place; :func:`apply_free` runs the same flight on a copy of its
-input. Only a readout given ``in_place=True``
-(:func:`zenomap.measurement.apply_measurement`) writes into its input.
+The kick returns a new state, since a convolution needs a second vector;
+the free flight and the readout (:func:`zenomap.measurement.apply_measurement`)
+write into ``state.amplitudes`` and return ``None``. :func:`step` kicks into
+a new state and runs :func:`apply_free` on it, so its input is left untouched.
 """
 
 from __future__ import annotations
@@ -123,11 +122,10 @@ class QuantumState:
     """Complex amplitude vector over a :class:`BasisWindow`.
 
     ``time_index`` counts completed kicks; the amplitudes always describe
-    the state immediately before the next kick. Operations return new
-    states and never mutate their input, unless given ``in_place=True``:
-    :func:`step` moves the vector that its own :func:`apply_kick` call has
-    just returned through the free flight in place, and that vector belongs
-    to no caller.
+    the state immediately before the next kick. :func:`apply_kick` and
+    :func:`step` return new states; :func:`apply_free` and the readout write
+    into ``amplitudes``, which is the caller's own array when that was
+    already complex128 (the constructor takes it with ``np.asarray``).
 
     ``support = (lo, hi)`` is a nonempty half-open range of array positions
     outside which every amplitude is exactly zero; operations read and write
@@ -173,14 +171,6 @@ class QuantumState:
         home = window.offset(window.m0)
         a[home] = 1.0
         return cls(window, a, 0, (home, home + 1))
-
-
-def _fly(amplitudes: np.ndarray, support: tuple[int, int], multiplier: np.ndarray) -> None:
-    """Multiply ``amplitudes`` by the window-length ``multiplier`` on
-    ``support``, in place: the free flight of every caller."""
-    lo, hi = support
-    a = amplitudes[lo:hi]
-    np.multiply(a, multiplier[lo:hi], out=a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,12 +439,13 @@ def _check_spectrum(state: QuantumState, spectrum: SpectrumModel) -> None:
         raise ValueError("spectrum phase table does not cover the state's window")
 
 
-def apply_free(state: QuantumState, spectrum: SpectrumModel) -> QuantumState:
-    """Diagonal free flight: every amplitude picks up its fixed phase."""
+def apply_free(state: QuantumState, spectrum: SpectrumModel) -> None:
+    """Diagonal free flight, in place: every amplitude on ``state``'s support
+    picks up its fixed phase."""
     _check_spectrum(state, spectrum)
-    out = state.amplitudes.copy()
-    _fly(out, state.support, spectrum.multiplier)
-    return QuantumState(state.window, out, state.time_index, state.support)
+    lo, hi = state.support
+    a = state.amplitudes[lo:hi]
+    np.multiply(a, spectrum.multiplier[lo:hi], out=a)
 
 
 def step(
@@ -462,12 +453,12 @@ def step(
 ) -> QuantumState:
     """One full period: kick, then free flight; advances the kick counter.
 
-    The flight runs in place on the state that the kick has just returned,
-    which no caller holds, so ``state`` itself is left untouched.
+    The flight runs on the new state that the kick returns, so ``state``
+    itself is left untouched, also when :func:`apply_free` refuses a
+    spectrum of another window.
     """
-    _check_spectrum(state, spectrum)
     out = apply_kick(state, kernel)
-    _fly(out.amplitudes, out.support, spectrum.multiplier)
+    apply_free(out, spectrum)
     out.time_index = state.time_index + 1
     return out
 

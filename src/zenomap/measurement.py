@@ -24,9 +24,9 @@ is cheaper than the split, so it keeps ``np.exp``. An all-states readout
 still draws one phase per window state, but builds factors only for the
 state's ``support``, outside which every amplitude is zero.
 
-A readout returns a new state, unless it is given ``in_place=True``: then it
-randomizes the input's own amplitudes and returns the input, which only a
-caller that holds no other reference to that state may ask for.
+A readout writes into ``state.amplitudes`` and returns ``None``, like the
+free flight; only the kick, and so a whole ``step``, returns a new state
+(see :mod:`zenomap.kick_engine`).
 """
 
 from __future__ import annotations
@@ -140,14 +140,9 @@ def _phase_factors(betas: np.ndarray) -> np.ndarray:
 
 
 def apply_measurement(
-    state: QuantumState,
-    schedule: MeasurementSchedule,
-    rng: PhaseRandomizer,
-    *,
-    in_place: bool = False,
-) -> QuantumState:
-    """Randomize the phases of the measured amplitudes; return a new state,
-    or ``state`` itself, randomized in place, when ``in_place`` is true.
+    state: QuantumState, schedule: MeasurementSchedule, rng: PhaseRandomizer
+) -> None:
+    """Randomize the phases of the measured amplitudes of ``state``, in place.
 
     Occupations are untouched exactly (the amplitudes are multiplied by unit
     phase factors) and unmeasured amplitudes are left bit-identical, so any
@@ -157,7 +152,7 @@ def apply_measurement(
     anything.
     """
     window = state.window
-    amplitudes = state.amplitudes if in_place else state.amplitudes.copy()
+    amplitudes = state.amplitudes
     if schedule.mode == "all":
         # Every state draws, so the stream does not depend on the support.
         # Factors first: numpy's complex product is not bitwise symmetric.
@@ -168,6 +163,3 @@ def apply_measurement(
         states = {"none": (), "initial": (window.m0,)}.get(schedule.mode, schedule.subset)
         positions = np.array([window.offset(m) for m in states], dtype=np.intp)
         amplitudes[positions] *= np.exp(1j * rng.phases(positions.size))
-    if in_place:
-        return state
-    return QuantumState(window, amplitudes, state.time_index, state.support)

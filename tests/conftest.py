@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,20 @@ from zenomap.observables import DispersionSeries
 from zenomap.runner import ExperimentConfig, run_experiment
 
 from reference import time_averaged_profile
+
+# Hypothesis's report of a failing @given test imports libcst, which warns
+# that mypy_extensions.TypedDict is deprecated. Under ``-W error`` (which
+# overrides any ini filter) that warning ends the session with an
+# INTERNALERROR and loses every later result, so libcst is imported here
+# once, with that one warning ignored.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning
+    )
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 DEFAULT_K = 10.0
 DEFAULT_TAU = 1.0

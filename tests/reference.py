@@ -22,6 +22,12 @@ _TWO_PI = 2.0 * math.pi
 
 # -- kicked ladder ------------------------------------------------------------
 
+def copied(state: QuantumState) -> QuantumState:
+    """``state`` with its own copy of the amplitudes, for a test that keeps
+    the input of a flight or readout, which write into their state."""
+    return QuantumState(state.window, state.amplitudes.copy(), state.time_index, state.support)
+
+
 def occupations(state: QuantumState) -> np.ndarray:
     """``|a_m|^2`` over the whole window."""
     a = state.amplitudes

@@ -34,7 +34,7 @@ from zenomap.kick_engine import (
 from zenomap.measurement import MeasurementSchedule, PhaseRandomizer, apply_measurement
 from zenomap.runner import ExperimentConfig, run_experiment
 
-from reference import adjoint_step, occupations, offsets
+from reference import adjoint_step, copied, occupations, offsets
 
 
 class TestBuildKernel:
@@ -298,7 +298,8 @@ class TestApplyFree:
         amps = rng.normal(size=41) + 1j * rng.normal(size=41)
         amps /= np.linalg.norm(amps)
         state = QuantumState(window, amps)
-        out = apply_free(state, spectrum)
+        out = copied(state)
+        apply_free(out, spectrum)
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_occupations_unchanged_for_any_spectrum(self):
@@ -308,7 +309,8 @@ class TestApplyFree:
         amps = rng.normal(size=41) + 1j * rng.normal(size=41)
         amps /= np.linalg.norm(amps)
         state = QuantumState(window, amps)
-        out = apply_free(state, spectrum)
+        out = copied(state)
+        apply_free(out, spectrum)
         assert np.allclose(occupations(out), occupations(state), rtol=1e-14, atol=0)
 
     def test_rotator_phase_at_m_two(self):
@@ -316,7 +318,8 @@ class TestApplyFree:
         spectrum = SpectrumModel.rotator(window, tau=1.0)
         amps = np.zeros(21, complex)
         amps[window.offset(2)] = 1.0
-        out = apply_free(QuantumState(window, amps), spectrum)
+        out = QuantumState(window, amps)
+        apply_free(out, spectrum)
         assert out.amplitudes[window.offset(2)] == pytest.approx(np.exp(-2j), abs=1e-12)
 
     def test_window_mismatch_rejected(self):
@@ -404,6 +407,17 @@ class TestStep:
         assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
         assert out.time_index == 1
         assert state.time_index == 0
+
+    def test_window_mismatch_rejected_and_input_untouched(self, kernel10):
+        # the flight refuses the spectrum after the kick: the kick's new
+        # state is dropped and the input keeps its bits
+        spectrum = SpectrumModel.rotator(BasisWindow.centered(0, 30), tau=1.0)
+        state = QuantumState.delta(BasisWindow.centered(0, 32))
+        before = state.amplitudes.tobytes()
+        with pytest.raises(ValueError, match="does not cover"):
+            step(state, kernel10, spectrum)
+        assert state.amplitudes.tobytes() == before
+        assert state.support == (32, 33) and state.time_index == 0
 
     def test_early_time_growth_is_diffusive_in_order_of_magnitude(self, kernel10):
         # The first kick adds exactly k^2/2. Later kicks are correlated and
@@ -503,6 +517,19 @@ class TestTypes:
         state = QuantumState(BasisWindow.centered(500, 2000), amps)
         reference = math.fsum(amps.real**2) + math.fsum(amps.imag**2)
         assert abs(state.norm_sq() - reference) <= 1e-15 * reference
+
+    @pytest.mark.parametrize("dtype, shared", [
+        (np.complex128, True), (np.complex64, False), (np.float64, False),
+    ])
+    def test_flight_writes_into_a_complex128_array_it_was_built_from(self, dtype, shared):
+        # QuantumState takes its amplitudes with np.asarray: a complex128
+        # array is the state's own, any other is converted into a new one
+        window = BasisWindow.centered(0, 10)
+        amps = np.ones(window.size, dtype=dtype)
+        state = QuantumState(window, amps)
+        apply_free(state, SpectrumModel.rotator(window, tau=1.0))
+        assert (state.amplitudes is amps) == shared
+        assert np.all(amps == 1.0) != shared
 
     def test_amplitude_length_checked(self):
         with pytest.raises(ValueError):
@@ -615,14 +642,18 @@ class TestSupport:
         rng = PhaseRandomizer(5)
         for kick in range(30):
             kicked = apply_kick(state, kernel10)
-            flown = apply_free(kicked, spectrum)
-            for out in (kicked, flown):
-                assert np.all(_outside(out) == 0.0)
+            assert np.all(_outside(kicked) == 0.0)
+            flown = copied(kicked)
+            apply_free(flown, spectrum)
+            assert flown.support == kicked.support
+            assert np.all(_outside(flown) == 0.0)
             for schedule in schedules:
-                read = apply_measurement(flown, schedule, rng)
+                read = copied(flown)
+                apply_measurement(read, schedule, rng)
                 assert read.support == flown.support
                 assert np.all(_outside(read) == 0.0)
-            state = apply_measurement(flown, schedules[kick % 3], rng)
+            state = flown
+            apply_measurement(state, schedules[kick % 3], rng)
         lo, hi = state.support
         assert 0 < lo and hi < window.size  # the slice stayed narrower than the window
 
@@ -648,7 +679,8 @@ class TestSupport:
         state = QuantumState.delta(window)
         with pytest.raises(TruncationOverflowError):
             for _ in range(1000):
-                state = apply_measurement(step(state, kernel, spectrum), schedule, rng)
+                state = step(state, kernel, spectrum)
+                apply_measurement(state, schedule, rng)
         lo, hi = state.support
         assert lo < kernel.d_max or hi > window.size - kernel.d_max
 
@@ -659,15 +691,17 @@ class TestSupport:
                 QuantumState(window, np.zeros(window.size, complex), support=support)
 
 
-_CALLS = {
+_RETURNING = {
     "step": step,
     "apply_kick": lambda state, kernel, spectrum: apply_kick(state, kernel),
-    "apply_free": lambda state, kernel, spectrum: apply_free(state, spectrum),
     "adjoint_step": adjoint_step,
+}
+_WRITING = {
+    "apply_free": lambda state, spectrum, rng: apply_free(state, spectrum),
     **{
         f"apply_measurement {mode}": (
-            lambda state, kernel, spectrum, schedule=MeasurementSchedule(mode, 1, subset):
-                apply_measurement(state, schedule, PhaseRandomizer(3))
+            lambda state, spectrum, rng, schedule=MeasurementSchedule(mode, 1, subset):
+                apply_measurement(state, schedule, rng)
         )
         for mode, subset in (("none", None), ("subset", (480, 500, 503)),
                              ("all", None), ("initial", None))
@@ -675,21 +709,50 @@ _CALLS = {
 }
 
 
+def _measured_state(kernel, spectrum, kicks: int) -> QuantumState:
+    # 3 measured kicks leave a support narrower than a few blocks, 40 one
+    # of many blocks
+    state = QuantumState.delta(spectrum.window)
+    schedule, rng = MeasurementSchedule("all"), PhaseRandomizer(8)
+    for _ in range(kicks):
+        state = step(state, kernel, spectrum)
+        apply_measurement(state, schedule, rng)
+    lo, hi = state.support
+    assert hi - lo == {3: 129, 40: 769}[kicks]
+    return state
+
+
 class TestInputsAreNotMutated:
-    @pytest.mark.parametrize("call", _CALLS)
+    @pytest.mark.parametrize("call", _RETURNING)
     @pytest.mark.parametrize("kicks", [3, 40])
     def test_input_is_unchanged_and_not_shared(self, kernel10, call, kicks):
-        # 3 measured kicks leave a support narrower than a few blocks, 40
-        # one of many blocks
         window = BasisWindow.centered(500, 600)
         spectrum = SpectrumModel.rotator(window, tau=1.0)
-        state, schedule, rng = QuantumState.delta(window), MeasurementSchedule("all"), PhaseRandomizer(8)
-        for _ in range(kicks):
-            state = apply_measurement(step(state, kernel10, spectrum), schedule, rng)
-        lo, hi = state.support
-        assert hi - lo == {3: 129, 40: 769}[kicks]
+        state = _measured_state(kernel10, spectrum, kicks)
         before, support = state.amplitudes.tobytes(), state.support
-        out = _CALLS[call](state, kernel10, spectrum)
+        out = _RETURNING[call](state, kernel10, spectrum)
         assert state.amplitudes.tobytes() == before
         assert state.support == support and state.time_index == kicks
         assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+class TestFlightAndReadoutWriteIntoTheirState:
+    @pytest.mark.parametrize("call", _WRITING)
+    @pytest.mark.parametrize("kicks", [3, 40])
+    def test_call_writes_into_its_state_and_returns_none(self, kernel10, call, kicks):
+        # The flight and the readout write into the state's own buffer (a
+        # readout of no state changes nothing) and keep its support and kick
+        # count. Their bits and draws are those of the same call on a copy
+        # with a twin phase stream.
+        window = BasisWindow.centered(500, 600)
+        spectrum = SpectrumModel.rotator(window, tau=1.0)
+        state = _measured_state(kernel10, spectrum, kicks)
+        twin, used, twin_rng = copied(state), PhaseRandomizer(3), PhaseRandomizer(3)
+        buffer, before, support = state.amplitudes, state.amplitudes.tobytes(), state.support
+        assert _WRITING[call](state, spectrum, used) is None
+        assert state.amplitudes is buffer
+        assert (state.amplitudes.tobytes() != before) == (call != "apply_measurement none")
+        assert state.support == support and state.time_index == kicks
+        _WRITING[call](twin, spectrum, twin_rng)
+        assert state.amplitudes.tobytes() == twin.amplitudes.tobytes()
+        assert used._rng.bit_generator.state == twin_rng._rng.bit_generator.state

@@ -15,7 +15,7 @@ from zenomap.measurement import (
     apply_measurement,
 )
 
-from reference import occupations
+from reference import copied, occupations
 
 
 class TestSchedule:
@@ -68,26 +68,27 @@ def _random_state(window: BasisWindow, seed: int) -> QuantumState:
 
 
 class TestApplyMeasurement:
-    def test_none_returns_identical_state(self):
+    def test_none_leaves_the_amplitudes_and_the_stream_unchanged(self):
         window = BasisWindow.centered(0, 10)
         state = _random_state(window, 0)
         used, unused = PhaseRandomizer(1), PhaseRandomizer(1)
-        out = apply_measurement(state, MeasurementSchedule("none"), used)
-        assert out is not state
+        out = copied(state)
+        apply_measurement(out, MeasurementSchedule("none"), used)
         assert np.array_equal(out.amplitudes.view(np.int64), state.amplitudes.view(np.int64))
         assert used._rng.bit_generator.state == unused._rng.bit_generator.state
 
     def test_full_measurement_preserves_occupations(self):
         window = BasisWindow.centered(0, 50)
         state = _random_state(window, 1)
-        out = apply_measurement(state, MeasurementSchedule("all"), PhaseRandomizer(2))
+        out = copied(state)
+        apply_measurement(out, MeasurementSchedule("all"), PhaseRandomizer(2))
         assert np.allclose(occupations(out), occupations(state), rtol=1e-14, atol=0)
         assert not np.allclose(out.amplitudes, state.amplitudes)  # phases did change
 
     def test_delta_state_unchanged_up_to_global_phase(self):
         window = BasisWindow.centered(0, 10)
-        state = QuantumState.delta(window)
-        out = apply_measurement(state, MeasurementSchedule("all"), PhaseRandomizer(3))
+        out = QuantumState.delta(window)
+        apply_measurement(out, MeasurementSchedule("all"), PhaseRandomizer(3))
         assert abs(abs(out.amplitudes[window.offset(0)]) - 1.0) < 1e-14
         occupied = np.nonzero(occupations(out) > 0)[0]
         assert list(occupied) == [window.offset(0)]
@@ -96,7 +97,8 @@ class TestApplyMeasurement:
         window = BasisWindow.centered(0, 20)
         state = _random_state(window, 4)
         schedule = MeasurementSchedule("subset", 1, (-3, 7))
-        out = apply_measurement(state, schedule, PhaseRandomizer(5))
+        out = copied(state)
+        apply_measurement(out, schedule, PhaseRandomizer(5))
         touched = [window.offset(-3), window.offset(7)]
         untouched = [i for i in range(window.size) if i not in touched]
         assert np.array_equal(out.amplitudes[untouched], state.amplitudes[untouched])
@@ -109,7 +111,8 @@ class TestApplyMeasurement:
         window = BasisWindow(-20, 20, 7)
         state = _random_state(window, 14)
         used, reference = PhaseRandomizer(15, 2), PhaseRandomizer(15, 2)
-        out = apply_measurement(state, MeasurementSchedule("initial"), used)
+        out = copied(state)
+        apply_measurement(out, MeasurementSchedule("initial"), used)
         reference.phases(1)
         assert used._rng.bit_generator.state == reference._rng.bit_generator.state
         home = window.offset(7)
@@ -121,10 +124,9 @@ class TestApplyMeasurement:
     def test_initial_mode_equals_a_subset_schedule_of_m0(self):
         window = BasisWindow(-20, 20, 7)
         state = _random_state(window, 16)
-        initial = apply_measurement(state, MeasurementSchedule("initial"), PhaseRandomizer(17))
-        subset = apply_measurement(
-            state, MeasurementSchedule("subset", 1, (7,)), PhaseRandomizer(17)
-        )
+        initial, subset = copied(state), copied(state)
+        apply_measurement(initial, MeasurementSchedule("initial"), PhaseRandomizer(17))
+        apply_measurement(subset, MeasurementSchedule("subset", 1, (7,)), PhaseRandomizer(17))
         assert np.array_equal(initial.amplitudes, subset.amplitudes)
 
     @pytest.mark.parametrize("schedule, states", [
@@ -139,7 +141,8 @@ class TestApplyMeasurement:
         window = BasisWindow(-20, 20, 7)
         state = _random_state(window, 18)
         used, reference = PhaseRandomizer(19, 3), PhaseRandomizer(19, 3)
-        out = apply_measurement(state, schedule, used)
+        out = copied(state)
+        apply_measurement(out, schedule, used)
         betas = reference.phases(len(states))
         assert used._rng.bit_generator.state == reference._rng.bit_generator.state
         positions = [window.offset(m) for m in states]
@@ -147,53 +150,34 @@ class TestApplyMeasurement:
         expected[positions] *= np.exp(1j * betas)
         assert np.array_equal(out.amplitudes.view(np.int64), expected.view(np.int64))
 
-    @pytest.mark.parametrize("schedule", [
-        MeasurementSchedule("none"),
-        MeasurementSchedule("initial"),
-        MeasurementSchedule("subset", 1, (12, -3, 7)),
-        MeasurementSchedule("all"),
-    ], ids=["none", "initial", "subset", "all"])
-    def test_in_place_readout_gives_the_bits_of_the_pure_call(self, schedule):
-        window = BasisWindow(-20, 20, 7)
-        state = _random_state(window, 21)
-        pure_rng, used = PhaseRandomizer(22, 1), PhaseRandomizer(22, 1)
-        pure = apply_measurement(state, schedule, pure_rng)
-        buffer = state.amplitudes
-        out = apply_measurement(state, schedule, used, in_place=True)
-        assert out is state
-        assert state.amplitudes is buffer
-        assert np.array_equal(state.amplitudes.view(np.int64), pure.amplitudes.view(np.int64))
-        assert used._rng.bit_generator.state == pure_rng._rng.bit_generator.state
-
     def test_subset_outside_window_rejected(self):
-        # before any draw or write, in place or not: -3 comes first in
-        # ascending m and lies in the window, so a readout that wrote before
-        # it had checked every state would change its amplitude
+        # before any draw or write: -3 comes first in ascending m and lies
+        # in the window, so a readout that wrote before it had checked every
+        # state would change its amplitude
         window = BasisWindow.centered(0, 10)
         state = _random_state(window, 25)
         before = state.amplitudes.copy()
         schedule = MeasurementSchedule("subset", 1, (25, -3, 4))
         used, unused = PhaseRandomizer(26), PhaseRandomizer(26)
-        for in_place in (False, True):
-            with pytest.raises(ValueError, match="outside window"):
-                apply_measurement(state, schedule, used, in_place=in_place)
-            assert np.array_equal(state.amplitudes.view(np.int64), before.view(np.int64))
-            assert used._rng.bit_generator.state == unused._rng.bit_generator.state
+        with pytest.raises(ValueError, match="outside window"):
+            apply_measurement(state, schedule, used)
+        assert np.array_equal(state.amplitudes.view(np.int64), before.view(np.int64))
+        assert used._rng.bit_generator.state == unused._rng.bit_generator.state
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_occupations_invariant_for_any_state(self, seed):
         window = BasisWindow.centered(0, 15)
         state = _random_state(window, seed)
-        out = apply_measurement(
-            state, MeasurementSchedule("all"), PhaseRandomizer(seed)
-        )
+        out = copied(state)
+        apply_measurement(out, MeasurementSchedule("all"), PhaseRandomizer(seed))
         assert np.allclose(occupations(out), occupations(state), rtol=1e-13, atol=0)
 
     def test_dispersion_invariant_under_measurement(self):
         window = BasisWindow.centered(0, 40)
         state = _random_state(window, 7)
-        out = apply_measurement(state, MeasurementSchedule("all"), PhaseRandomizer(8))
+        out = copied(state)
+        apply_measurement(out, MeasurementSchedule("all"), PhaseRandomizer(8))
         # phases never enter the dispersion sum; equality up to roundoff of
         # the occupation products
         assert dispersion(out) == pytest.approx(dispersion(state), rel=1e-13)
@@ -228,7 +212,8 @@ class TestPhaseFactors:
         window = BasisWindow.centered(0, 300)
         state = _random_state(window, 9)
         used, reference = PhaseRandomizer(13, 4), PhaseRandomizer(13, 4)
-        out = apply_measurement(state, MeasurementSchedule("all"), used)
+        out = copied(state)
+        apply_measurement(out, MeasurementSchedule("all"), used)
         betas = reference.phases(window.size)
         assert used._rng.bit_generator.state == reference._rng.bit_generator.state
         assert np.allclose(out.amplitudes, state.amplitudes * np.exp(1j * betas),
@@ -284,7 +269,8 @@ class TestDecoherence:
         trials = 20_000
         total = 0.0
         for _ in range(trials):
-            measured = apply_measurement(state, schedule, rng)
+            measured = copied(state)
+            apply_measurement(measured, schedule, rng)
             total += dispersion(apply_kick(measured, kernel10))
         mean_interference = total / trials - incoherent
         assert abs(mean_interference) < 0.01 * incoherent

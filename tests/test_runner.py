@@ -599,8 +599,8 @@ class TestRunExperiment:
             k=5.0, window_halfwidth=200, n_kicks=20, realizations=2,
         ).with_preset(preset)
         expected = run_experiment(config).aggregate
-        calls = dict.fromkeys(("step", "apply_kick", "apply_measurement", "dispersion",
-                               "norm_sq", "draws"), 0)
+        calls = dict.fromkeys(("step", "apply_kick", "apply_free", "apply_measurement",
+                               "dispersion", "norm_sq", "draws"), 0)
 
         def counted(name, fn, amount=lambda *args: 1):
             def wrapper(*args, **kwargs):
@@ -610,14 +610,14 @@ class TestRunExperiment:
 
         for owner, name in ((runner, "step"), (runner, "apply_measurement"),
                             (runner, "dispersion"), (kick_engine, "apply_kick"),
-                            (QuantumState, "norm_sq")):
+                            (kick_engine, "apply_free"), (QuantumState, "norm_sq")):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         monkeypatch.setattr(PhaseRandomizer, "phases", counted(
             "draws", PhaseRandomizer.phases, lambda rng, count: count))
         series = run_experiment(config).aggregate
         kicks = config.realizations * config.n_kicks
         assert calls == {
-            "step": kicks, "apply_kick": kicks, "apply_measurement": kicks,
+            "step": kicks, "apply_kick": kicks, "apply_free": kicks, "apply_measurement": kicks,
             "dispersion": kicks + config.realizations, "norm_sq": kicks + config.realizations,
             "draws": kicks * (1 if preset == "b" else config.window().size),
         }
@@ -625,10 +625,9 @@ class TestRunExperiment:
             assert np.array_equal(getattr(series, column), getattr(expected, column))
 
     @pytest.mark.parametrize("preset", ["a", "b", "c", "d", "subset"])
-    def test_rows_equal_a_loop_of_the_pure_calls(self, preset):
-        # The runner reads out in place the state that step has just
-        # returned. The documented path, public calls that return new states,
-        # must give the same rows bit for bit.
+    def test_rows_equal_a_loop_of_the_public_calls(self, preset):
+        # The documented path, a loop of step and apply_measurement, must
+        # give the runner's rows bit for bit.
         config = _small_config(k=5.0, window_halfwidth=200, n_kicks=30, realizations=2)
         if preset == "subset":
             config = dataclasses.replace(config, measurement_mode="subset",
@@ -639,13 +638,12 @@ class TestRunExperiment:
             config = dataclasses.replace(config, measurement_period=7)
         runs = run_experiment(config).realizations
         got = np.stack([runs.dispersion, runs.norm, runs.p_m0])
-        assert np.array_equal(got.view(np.int64), _pure_rows(config).view(np.int64))
+        assert np.array_equal(got.view(np.int64), _public_rows(config).view(np.int64))
 
 
-def _pure_rows(config: ExperimentConfig) -> np.ndarray:
-    """A kicked run's (3, R, n + 1) rows from the public calls alone, each of
-    which returns a new state; the readout fires after every
-    ``measurement_period``-th kick."""
+def _public_rows(config: ExperimentConfig) -> np.ndarray:
+    """A kicked run's (3, R, n + 1) rows from the public calls alone; the
+    readout fires after every ``measurement_period``-th kick."""
     window = config.window()
     kernel = kick_engine.build_kernel(config.k)
     spectrum = config.spectrum_model(window)
@@ -659,7 +657,7 @@ def _pure_rows(config: ExperimentConfig) -> np.ndarray:
             if kick:
                 state = kick_engine.step(state, kernel, spectrum)
                 if config.measurement_mode != "none" and kick % config.measurement_period == 0:
-                    state = apply_measurement(state, schedule, rng)
+                    apply_measurement(state, schedule, rng)
             rows[:, r, kick] = (
                 dispersion(state), state.norm_sq(), abs(state.amplitudes[home]) ** 2
             )
