@@ -36,10 +36,10 @@ to within a few units of roundoff (below 2e-16 absolute on a unit-norm
 state); every output bin that takes a single nonzero product, as after a
 kick of a one-bin state, is the same bit for bit.
 
-The kick returns a new state, since a convolution needs a second vector;
-the free flight and the readout (:func:`zenomap.measurement.apply_measurement`)
-write into ``state.amplitudes`` and return ``None``. :func:`step` kicks into
-a new state and runs :func:`apply_free` on it, so its input is left untouched.
+Every operation writes into the state it is given and returns ``None``:
+the kick, the free flight, a whole :func:`step` and the readout
+(:func:`zenomap.measurement.apply_measurement`). The kick's second vector
+is the blocked product's own operand, which holds a copy of the slice.
 """
 
 from __future__ import annotations
@@ -122,8 +122,7 @@ class QuantumState:
     """Complex amplitude vector over a :class:`BasisWindow`.
 
     ``time_index`` counts completed kicks; the amplitudes always describe
-    the state immediately before the next kick. :func:`apply_kick` and
-    :func:`step` return new states; :func:`apply_free` and the readout write
+    the state immediately before the next kick. Every operation writes
     into ``amplitudes``, which is the caller's own array when that was
     already complex128 (the constructor takes it with ``np.asarray``).
 
@@ -310,8 +309,8 @@ def _check_kick(state: QuantumState, kernel: KickKernel) -> None:
         )
 
 
-def apply_kick(state: QuantumState, kernel: KickKernel) -> QuantumState:
-    """Convolve the amplitudes with the kick weights.
+def apply_kick(state: QuantumState, kernel: KickKernel) -> None:
+    """Convolve the amplitudes with the kick weights, in place.
 
     ``a'_m = sum_n J_{m-n}(k) a_n``; unitary up to the kernel truncation.
     Raises :class:`TruncationOverflowError`, before kicking, when the
@@ -319,8 +318,7 @@ def apply_kick(state: QuantumState, kernel: KickKernel) -> QuantumState:
     non-negligible, since the kick could carry that much out of the window.
     """
     _check_kick(state, kernel)
-    out, support = _convolve(state.amplitudes, state.support, kernel)
-    return QuantumState(state.window, out, state.time_index, support)
+    state.support = _convolve(state.amplitudes, state.support, kernel)
 
 
 def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,34 +355,35 @@ def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, 
 
 def _convolve(
     amplitudes: np.ndarray, support: tuple[int, int], kernel: KickKernel
-) -> tuple[np.ndarray, tuple[int, int]]:
-    """Kick the amplitudes on ``support``; returns them with their new support.
+) -> tuple[int, int]:
+    """Kick the amplitudes on ``support`` in place; returns their new support.
 
     The full convolution of the support slice covers ``d_max`` more bins on
     each side. A slice clipped at a window edge may be shorter than the
-    kernel, so the full convolution is taken and clipped here. End bands of
-    ``d_max`` bins below ``_SLICE_EPS`` are then zeroed and dropped.
+    kernel, so the full convolution is taken and clipped here. The blocked
+    product copies the slice before anything is written, and every bin
+    outside the widened range lay outside ``support``, so it is already
+    zero. End bands of ``d_max`` bins below ``_SLICE_EPS`` are then zeroed
+    and dropped.
     """
     d_max = kernel.coefficients.size // 2
     lo, hi = support
-    size = amplitudes.size
-    start, stop = max(lo - d_max, 0), min(hi + d_max, size)
-    out = np.zeros(size, dtype=np.complex128)
+    start, stop = max(lo - d_max, 0), min(hi + d_max, amplitudes.size)
     shift = lo - d_max
     real, imag = _blocked_convolve(amplitudes[lo:hi], kernel.toeplitz)
-    out.real[start:stop] = real[start - shift:stop - shift]
-    out.imag[start:stop] = imag[start - shift:stop - shift]
+    amplitudes.real[start:stop] = real[start - shift:stop - shift]
+    amplitudes.imag[start:stop] = imag[start - shift:stop - shift]
     if stop - start > d_max:
-        band = out[start:start + d_max]
+        band = amplitudes[start:start + d_max]
         if np.vdot(band, band).real < _SLICE_EPS:
             band[:] = 0.0
             start += d_max
     if stop - start > d_max:
-        band = out[stop - d_max:stop]
+        band = amplitudes[stop - d_max:stop]
         if np.vdot(band, band).real < _SLICE_EPS:
             band[:] = 0.0
             stop -= d_max
-    return out, (start, stop)
+    return start, stop
 
 
 @dataclass(eq=False)
@@ -448,17 +447,15 @@ def apply_free(state: QuantumState, spectrum: SpectrumModel) -> None:
     np.multiply(a, spectrum.multiplier[lo:hi], out=a)
 
 
-def step(
-    state: QuantumState, kernel: KickKernel, spectrum: SpectrumModel
-) -> QuantumState:
-    """One full period: kick, then free flight; advances the kick counter.
+def step(state: QuantumState, kernel: KickKernel, spectrum: SpectrumModel) -> None:
+    """One full period, in place: kick, then free flight; advances the kick
+    counter.
 
-    The flight runs on the new state that the kick returns, so ``state``
-    itself is left untouched, also when :func:`apply_free` refuses a
-    spectrum of another window.
+    Both refusals come before anything is written: a spectrum of another
+    window (``ValueError``) and probability at a window edge
+    (:class:`TruncationOverflowError`) leave ``state`` untouched.
     """
-    out = apply_kick(state, kernel)
-    apply_free(out, spectrum)
-    out.time_index = state.time_index + 1
-    return out
-
+    _check_spectrum(state, spectrum)
+    apply_kick(state, kernel)
+    apply_free(state, spectrum)
+    state.time_index += 1

@@ -24,9 +24,8 @@ is cheaper than the split, so it keeps ``np.exp``. An all-states readout
 still draws one phase per window state, but builds factors only for the
 state's ``support``, outside which every amplitude is zero.
 
-A readout writes into ``state.amplitudes`` and returns ``None``, like the
-free flight; only the kick, and so a whole ``step``, returns a new state
-(see :mod:`zenomap.kick_engine`).
+A readout writes into ``state.amplitudes`` and returns ``None``, like every
+operation of :mod:`zenomap.kick_engine`.
 """
 
 from __future__ import annotations

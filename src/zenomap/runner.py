@@ -200,7 +200,7 @@ def _simulate_kicked(config: ExperimentConfig) -> np.ndarray:
         disp, norm, p_home = rows[:, r]
         for kick in range(n + 1):
             if kick:
-                state = step(state, kernel, spectrum)
+                step(state, kernel, spectrum)
                 if kick in readouts:
                     apply_measurement(state, schedule, rng)
             disp[kick] = dispersion(state)

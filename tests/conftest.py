@@ -19,7 +19,7 @@ from zenomap import (
 from zenomap.observables import DispersionSeries
 from zenomap.runner import ExperimentConfig, run_experiment
 
-from reference import time_averaged_profile
+from reference import copied, time_averaged_profile
 
 # Hypothesis's report of a failing @given test imports libcst, which warns
 # that mypy_extensions.TypedDict is deprecated. Under ``-W error`` (which
@@ -75,12 +75,12 @@ def curve_a(default_window, kernel10):
     snapshots = []
     home = default_window.offset(DEFAULT_M0)
     for j in range(1, N_KICKS + 1):
-        state = step(state, kernel10, spectrum)
+        step(state, kernel10, spectrum)
         rows.append(
             (j, dispersion(state), state.norm_sq(), abs(state.amplitudes[home]) ** 2)
         )
         if PROFILE_WINDOW[0] <= j <= PROFILE_WINDOW[1]:
-            snapshots.append(state)
+            snapshots.append(copied(state))
     series = DispersionSeries(*zip(*rows))
     profile = time_averaged_profile(snapshots)
     return {"series": series, "profile": profile, "window": default_window}

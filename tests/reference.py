@@ -24,7 +24,7 @@ _TWO_PI = 2.0 * math.pi
 
 def copied(state: QuantumState) -> QuantumState:
     """``state`` with its own copy of the amplitudes, for a test that keeps
-    the input of a flight or readout, which write into their state."""
+    the input of an operation: every operation writes into its state."""
     return QuantumState(state.window, state.amplitudes.copy(), state.time_index, state.support)
 
 

@@ -39,7 +39,7 @@ from zenomap.runner import ExperimentConfig, render_csv, run_experiment
 from zenomap.two_level import monte_carlo_measured_evolve
 
 from conftest import fit_slope, moving_average
-from reference import adjoint_step, offsets
+from reference import adjoint_step, copied, offsets
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -227,9 +227,9 @@ def test_criterion_09_numerical_hygiene(curve_a, curve_d_record, monkeypatch):
     kernel = build_kernel(10.0)
     spectrum = SpectrumModel.rotator(window, 1.0)
     initial = QuantumState.delta(window)
-    state = initial
+    state = copied(initial)
     for _ in range(100):
-        state = step(state, kernel, spectrum)
+        step(state, kernel, spectrum)
     for _ in range(100):
         state = adjoint_step(state, kernel, spectrum)
     fidelity = abs(np.vdot(initial.amplitudes, state.amplitudes)) ** 2

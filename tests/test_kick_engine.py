@@ -132,13 +132,14 @@ class TestApplyKick:
     def test_zero_strength_leaves_state_unchanged(self):
         window = BasisWindow.centered(0, 20)
         state = QuantumState.delta(window)
-        out = apply_kick(state, build_kernel(0.0))
-        assert np.array_equal(out.amplitudes, state.amplitudes)
+        before = copied(state)
+        apply_kick(state, build_kernel(0.0))
+        assert np.array_equal(state.amplitudes, before.amplitudes)
 
     def test_delta_state_spreads_with_squared_coefficients(self, kernel10):
         window = BasisWindow.centered(500, 200)
-        state = QuantumState.delta(window)
-        out = apply_kick(state, kernel10)
+        out = QuantumState.delta(window)
+        apply_kick(out, kernel10)
         center = window.offset(500)
         band = occupations(out)[center - kernel10.d_max : center + kernel10.d_max + 1]
         assert np.array_equal(band, kernel10.coefficients**2)
@@ -150,7 +151,8 @@ class TestApplyKick:
 
     def test_single_kick_dispersion_increment(self, kernel10):
         window = BasisWindow.centered(500, 200)
-        out = apply_kick(QuantumState.delta(window), kernel10)
+        out = QuantumState.delta(window)
+        apply_kick(out, kernel10)
         assert dispersion(out) == pytest.approx(50.0, abs=1e-10)
 
     def test_norm_preserved_up_to_truncation(self, kernel10):
@@ -161,8 +163,8 @@ class TestApplyKick:
         amps[-150:] = 0.0
         amps /= np.linalg.norm(amps)
         state = QuantumState(window, amps)
-        out = apply_kick(state, kernel10)
-        assert abs(out.norm_sq() - 1.0) < 10 * _KERNEL_EPS + 1e-13
+        apply_kick(state, kernel10)
+        assert abs(state.norm_sq() - 1.0) < 10 * _KERNEL_EPS + 1e-13
 
     def test_boundary_breach_raises_and_names_edge(self):
         kernel = build_kernel(5.0)
@@ -213,8 +215,10 @@ class TestApplyKick:
             apply_kick(QuantumState.delta(window), kernel10)
 
     def test_translation_covariance(self, kernel10):
-        out_a = apply_kick(QuantumState.delta(BasisWindow.centered(500, 120)), kernel10)
-        out_b = apply_kick(QuantumState.delta(BasisWindow.centered(-137, 120)), kernel10)
+        out_a = QuantumState.delta(BasisWindow.centered(500, 120))
+        out_b = QuantumState.delta(BasisWindow.centered(-137, 120))
+        apply_kick(out_a, kernel10)
+        apply_kick(out_b, kernel10)
         assert np.array_equal(out_a.amplitudes, out_b.amplitudes)
 
 
@@ -245,7 +249,8 @@ class TestBlockedKick:
                 amps = np.zeros(size, complex)
                 amps[lo:hi] = rng.normal(size=width) + 1j * rng.normal(size=width)
                 amps /= np.linalg.norm(amps)
-                out, support = _convolve(amps, (lo, hi), kernel)
+                out = amps.copy()
+                support = _convolve(out, (lo, hi), kernel)
                 start, stop = max(lo - d_max, 0), min(hi + d_max, size)
                 expected = np.zeros(size, complex)
                 shift = lo - d_max
@@ -285,8 +290,8 @@ class TestBlockedKick:
         for lo in (200, 437):
             amps = np.zeros(1201, complex)
             amps[lo:lo + 301] = block
-            out, support = _convolve(amps, (lo - 50, lo + 351), kernel10)
-            outs.append(out[support[0]:support[1]])
+            support = _convolve(amps, (lo - 50, lo + 351), kernel10)
+            outs.append(amps[support[0]:support[1]])
         assert np.array_equal(outs[0], outs[1])
 
 
@@ -403,21 +408,41 @@ class TestStep:
         window = BasisWindow.centered(0, 20)
         spectrum = SpectrumModel.linear(window, tau=1.0, omega=0.0)
         state = QuantumState.delta(window)
-        out = step(state, build_kernel(0.0), spectrum)
-        assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
-        assert out.time_index == 1
-        assert state.time_index == 0
+        before = copied(state)
+        step(state, build_kernel(0.0), spectrum)
+        assert np.allclose(state.amplitudes, before.amplitudes, atol=1e-15)
+        assert state.time_index == 1
+        assert state.support == before.support
 
-    def test_window_mismatch_rejected_and_input_untouched(self, kernel10):
-        # the flight refuses the spectrum after the kick: the kick's new
-        # state is dropped and the input keeps its bits
-        spectrum = SpectrumModel.rotator(BasisWindow.centered(0, 30), tau=1.0)
-        state = QuantumState.delta(BasisWindow.centered(0, 32))
+    @pytest.mark.parametrize("call, refusal", [
+        ("step", "other window"), ("step", "window edge"), ("apply_kick", "window edge"),
+    ])
+    def test_window_mismatch_rejected_and_input_untouched(self, kernel10, call, refusal):
+        # both refusals come before the kick writes: the state keeps its
+        # bits, its support and its kick count
+        window = BasisWindow.centered(0, 40)
+        rng = np.random.default_rng(6)
+        amps = np.zeros(window.size, complex)
+        # a support the kick accepts (d_max = 32 bins clear of both edges),
+        # or one reaching into the upper edge band
+        lo, hi = (32, 49) if refusal == "other window" else (40, 60)
+        amps[lo:hi] = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
+        amps /= np.linalg.norm(amps)
+        state = QuantumState(window, amps, time_index=7, support=(lo, hi))
+        if refusal == "other window":
+            spectrum = SpectrumModel.rotator(BasisWindow.centered(0, 38), tau=1.0)
+            error, match = ValueError, "does not cover"
+        else:
+            spectrum = SpectrumModel.rotator(window, tau=1.0)
+            error, match = TruncationOverflowError, "after kick 7"
         before = state.amplitudes.tobytes()
-        with pytest.raises(ValueError, match="does not cover"):
-            step(state, kernel10, spectrum)
+        with pytest.raises(error, match=match):
+            if call == "step":
+                step(state, kernel10, spectrum)
+            else:
+                apply_kick(state, kernel10)
         assert state.amplitudes.tobytes() == before
-        assert state.support == (32, 33) and state.time_index == 0
+        assert state.support == (lo, hi) and state.time_index == 7
 
     def test_early_time_growth_is_diffusive_in_order_of_magnitude(self, kernel10):
         # The first kick adds exactly k^2/2. Later kicks are correlated and
@@ -426,10 +451,10 @@ class TestStep:
         window = BasisWindow.centered(500, 2000)
         spectrum = SpectrumModel.rotator(window, tau=1.0)
         state = QuantumState.delta(window)
-        state = step(state, kernel10, spectrum)
+        step(state, kernel10, spectrum)
         assert dispersion(state) == pytest.approx(50.0, abs=1e-9)
         for _ in range(19):
-            state = step(state, kernel10, spectrum)
+            step(state, kernel10, spectrum)
         value = dispersion(state)
         assert 1000 / 3 < value < 3 * 1000
 
@@ -449,11 +474,11 @@ class TestStep:
         u[:25] = u[-25:] = 0.0
         v[:25] = v[-25:] = 0.0
         alpha, beta = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
-        combined = step(QuantumState(window, alpha * u + beta * v), kernel, spectrum)
-        parts = (
-            alpha * step(QuantumState(window, u), kernel, spectrum).amplitudes
-            + beta * step(QuantumState(window, v), kernel, spectrum).amplitudes
-        )
+        combined = QuantumState(window, alpha * u + beta * v)
+        first, second = QuantumState(window, u), QuantumState(window, v)
+        for state in (combined, first, second):
+            step(state, kernel, spectrum)
+        parts = alpha * first.amplitudes + beta * second.amplitudes
         assert np.allclose(combined.amplitudes, parts, atol=1e-12)
 
     def test_random_level_spectrum_still_localizes(self, random_curves):
@@ -469,9 +494,9 @@ class TestTimeReversal:
         window = BasisWindow.centered(500, 600)
         spectrum = SpectrumModel.rotator(window, tau=1.0)
         initial = QuantumState.delta(window)
-        state = initial
+        state = copied(initial)
         for _ in range(100):
-            state = step(state, kernel10, spectrum)
+            step(state, kernel10, spectrum)
         for _ in range(100):
             state = adjoint_step(state, kernel10, spectrum)
         fidelity = abs(np.vdot(initial.amplitudes, state.amplitudes)) ** 2
@@ -486,7 +511,9 @@ class TestTimeReversal:
         amps[:200] = amps[-200:] = 0.0
         amps /= np.linalg.norm(amps)
         state = QuantumState(window, amps)
-        back = adjoint_step(step(state, kernel10, spectrum), kernel10, spectrum)
+        forward = copied(state)
+        step(forward, kernel10, spectrum)
+        back = adjoint_step(forward, kernel10, spectrum)
         assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
 
@@ -641,18 +668,17 @@ class TestSupport:
         ]
         rng = PhaseRandomizer(5)
         for kick in range(30):
-            kicked = apply_kick(state, kernel10)
-            assert np.all(_outside(kicked) == 0.0)
-            flown = copied(kicked)
-            apply_free(flown, spectrum)
-            assert flown.support == kicked.support
-            assert np.all(_outside(flown) == 0.0)
+            apply_kick(state, kernel10)
+            assert np.all(_outside(state) == 0.0)
+            kicked = state.support
+            apply_free(state, spectrum)
+            assert state.support == kicked
+            assert np.all(_outside(state) == 0.0)
             for schedule in schedules:
-                read = copied(flown)
+                read = copied(state)
                 apply_measurement(read, schedule, rng)
-                assert read.support == flown.support
+                assert read.support == state.support
                 assert np.all(_outside(read) == 0.0)
-            state = flown
             apply_measurement(state, schedules[kick % 3], rng)
         lo, hi = state.support
         assert 0 < lo and hi < window.size  # the slice stayed narrower than the window
@@ -664,11 +690,13 @@ class TestSupport:
         shift = KickKernel(np.array([1.0, 0.0, 0.0]))
         window = BasisWindow.centered(0, 20)
         amps = np.zeros(window.size, complex)
-        amps[10] = math.sqrt(factor * _SLICE_EPS)
+        lowest = math.sqrt(factor * _SLICE_EPS)
+        amps[10] = lowest
         amps[11:15] = 0.5
-        out = apply_kick(QuantumState(window, amps, support=(10, 15)), shift)
+        out = QuantumState(window, amps, support=(10, 15))
+        apply_kick(out, shift)
         assert out.support == ((9 if kept else 10), 15)
-        assert out.amplitudes[9] == (amps[10] if kept else 0.0)
+        assert out.amplitudes[9] == (lowest if kept else 0.0)
         assert np.all(_outside(out) == 0.0)
 
     def test_support_at_the_window_edge_still_raises(self):
@@ -679,7 +707,7 @@ class TestSupport:
         state = QuantumState.delta(window)
         with pytest.raises(TruncationOverflowError):
             for _ in range(1000):
-                state = step(state, kernel, spectrum)
+                step(state, kernel, spectrum)
                 apply_measurement(state, schedule, rng)
         lo, hi = state.support
         assert lo < kernel.d_max or hi > window.size - kernel.d_max
@@ -691,16 +719,13 @@ class TestSupport:
                 QuantumState(window, np.zeros(window.size, complex), support=support)
 
 
-_RETURNING = {
-    "step": step,
-    "apply_kick": lambda state, kernel, spectrum: apply_kick(state, kernel),
-    "adjoint_step": adjoint_step,
-}
 _WRITING = {
-    "apply_free": lambda state, spectrum, rng: apply_free(state, spectrum),
+    "step": lambda state, kernel, spectrum, rng: step(state, kernel, spectrum),
+    "apply_kick": lambda state, kernel, spectrum, rng: apply_kick(state, kernel),
+    "apply_free": lambda state, kernel, spectrum, rng: apply_free(state, spectrum),
     **{
         f"apply_measurement {mode}": (
-            lambda state, spectrum, rng, schedule=MeasurementSchedule(mode, 1, subset):
+            lambda state, kernel, spectrum, rng, schedule=MeasurementSchedule(mode, 1, subset):
                 apply_measurement(state, schedule, rng)
         )
         for mode, subset in (("none", None), ("subset", (480, 500, 503)),
@@ -715,7 +740,7 @@ def _measured_state(kernel, spectrum, kicks: int) -> QuantumState:
     state = QuantumState.delta(spectrum.window)
     schedule, rng = MeasurementSchedule("all"), PhaseRandomizer(8)
     for _ in range(kicks):
-        state = step(state, kernel, spectrum)
+        step(state, kernel, spectrum)
         apply_measurement(state, schedule, rng)
     lo, hi = state.support
     assert hi - lo == {3: 129, 40: 769}[kicks]
@@ -723,36 +748,39 @@ def _measured_state(kernel, spectrum, kicks: int) -> QuantumState:
 
 
 class TestInputsAreNotMutated:
-    @pytest.mark.parametrize("call", _RETURNING)
     @pytest.mark.parametrize("kicks", [3, 40])
-    def test_input_is_unchanged_and_not_shared(self, kernel10, call, kicks):
+    def test_adjoint_step_input_is_unchanged_and_not_shared(self, kernel10, kicks):
+        # the oracle's adjoint_step is pure, unlike every package operation
         window = BasisWindow.centered(500, 600)
         spectrum = SpectrumModel.rotator(window, tau=1.0)
         state = _measured_state(kernel10, spectrum, kicks)
         before, support = state.amplitudes.tobytes(), state.support
-        out = _RETURNING[call](state, kernel10, spectrum)
+        out = adjoint_step(state, kernel10, spectrum)
         assert state.amplitudes.tobytes() == before
         assert state.support == support and state.time_index == kicks
         assert not np.shares_memory(out.amplitudes, state.amplitudes)
 
 
-class TestFlightAndReadoutWriteIntoTheirState:
+class TestEveryOperationWritesIntoItsState:
     @pytest.mark.parametrize("call", _WRITING)
     @pytest.mark.parametrize("kicks", [3, 40])
     def test_call_writes_into_its_state_and_returns_none(self, kernel10, call, kicks):
-        # The flight and the readout write into the state's own buffer (a
-        # readout of no state changes nothing) and keep its support and kick
-        # count. Their bits and draws are those of the same call on a copy
+        # Every operation writes into the state's own buffer (a readout of
+        # no state changes nothing). The flight and the readout keep its
+        # support, a kick widens it, and only step adds 1 to the kick count.
+        # The bits, support and draws are those of the same call on a copy
         # with a twin phase stream.
         window = BasisWindow.centered(500, 600)
         spectrum = SpectrumModel.rotator(window, tau=1.0)
         state = _measured_state(kernel10, spectrum, kicks)
         twin, used, twin_rng = copied(state), PhaseRandomizer(3), PhaseRandomizer(3)
         buffer, before, support = state.amplitudes, state.amplitudes.tobytes(), state.support
-        assert _WRITING[call](state, spectrum, used) is None
+        assert _WRITING[call](state, kernel10, spectrum, used) is None
         assert state.amplitudes is buffer
         assert (state.amplitudes.tobytes() != before) == (call != "apply_measurement none")
-        assert state.support == support and state.time_index == kicks
-        _WRITING[call](twin, spectrum, twin_rng)
+        assert (state.support != support) == (call in ("step", "apply_kick"))
+        assert state.time_index == kicks + (call == "step")
+        _WRITING[call](twin, kernel10, spectrum, twin_rng)
         assert state.amplitudes.tobytes() == twin.amplitudes.tobytes()
+        assert state.support == twin.support and state.time_index == twin.time_index
         assert used._rng.bit_generator.state == twin_rng._rng.bit_generator.state

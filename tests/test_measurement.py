@@ -271,7 +271,8 @@ class TestDecoherence:
         for _ in range(trials):
             measured = copied(state)
             apply_measurement(measured, schedule, rng)
-            total += dispersion(apply_kick(measured, kernel10))
+            apply_kick(measured, kernel10)
+            total += dispersion(measured)
         mean_interference = total / trials - incoherent
         assert abs(mean_interference) < 0.01 * incoherent
 

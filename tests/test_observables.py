@@ -34,7 +34,8 @@ class TestDispersion:
 
     def test_single_kick_increment(self, kernel10):
         state = QuantumState.delta(BasisWindow.centered(500, 100))
-        assert dispersion(apply_kick(state, kernel10)) == pytest.approx(50.0, abs=1e-10)
+        apply_kick(state, kernel10)
+        assert dispersion(state) == pytest.approx(50.0, abs=1e-10)
 
 
     def test_weights_are_cached_read_only_squared_offsets(self):

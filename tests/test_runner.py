@@ -624,6 +624,23 @@ class TestRunExperiment:
         for column in ("dispersion", "norm", "p_m0"):
             assert np.array_equal(getattr(series, column), getattr(expected, column))
 
+    @pytest.mark.parametrize("preset", "bd")
+    def test_one_state_per_realization(self, monkeypatch, preset):
+        # every kicked operation writes into the realization's one state
+        config = _small_config(
+            k=5.0, window_halfwidth=200, n_kicks=20, realizations=3,
+        ).with_preset(preset)
+        built = []
+        real_init = QuantumState.__post_init__
+
+        def counted_init(state):
+            built.append(state)
+            real_init(state)
+
+        monkeypatch.setattr(QuantumState, "__post_init__", counted_init)
+        run_experiment(config)
+        assert len(built) == config.realizations
+
     @pytest.mark.parametrize("preset", ["a", "b", "c", "d", "subset"])
     def test_rows_equal_a_loop_of_the_public_calls(self, preset):
         # The documented path, a loop of step and apply_measurement, must
@@ -655,7 +672,7 @@ def _public_rows(config: ExperimentConfig) -> np.ndarray:
         state = QuantumState.delta(window)
         for kick in range(config.n_kicks + 1):
             if kick:
-                state = kick_engine.step(state, kernel, spectrum)
+                kick_engine.step(state, kernel, spectrum)
                 if config.measurement_mode != "none" and kick % config.measurement_period == 0:
                     apply_measurement(state, schedule, rng)
             rows[:, r, kick] = (
