@@ -40,6 +40,10 @@ Every operation writes into the state it is given and returns ``None``:
 the kick, the free flight, a whole :func:`step` and the readout
 (:func:`zenomap.measurement.apply_measurement`). The kick's second vector
 is the blocked product's own operand, which holds a copy of the slice.
+The operand, the product and the slab products live in buffers that each
+state builds at its first kick and reuses, and the kernel keeps its
+Toeplitz blocks as views built once, so after its first kick a state's
+kicks allocate no array data.
 """
 
 from __future__ import annotations
@@ -131,12 +135,18 @@ class QuantumState:
     only that slice. It defaults to the whole window, and the constructor
     trusts it without scanning the amplitudes. A kick's support is
     ``_SLICE_EPS``-trimmed (see the module docstring).
+
+    ``_kick_buffers`` is the blocked kick's scratch (see
+    :func:`_blocked_convolve`): built at the state's first kick, overwritten
+    by every kick, never part of the state's value. It is not in the
+    constructor or ``repr``, and a copy of the state starts without it.
     """
 
     window: BasisWindow
     amplitudes: np.ndarray
     time_index: int = 0
     support: tuple[int, int] | None = None
+    _kick_buffers: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -199,6 +209,23 @@ class KickKernel:
         matrix = np.where(inside, self.coefficients[np.clip(lags, 0, span)], 0.0)
         matrix.flags.writeable = False
         return matrix
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, tuple[tuple[int, int, np.ndarray], ...]]:
+        """The views of :attr:`toeplitz` that the blocked kick multiplies by,
+        built at first use: the last ``_BLOCK`` rows, which map a block onto
+        itself, then ``(m, column, matrix)`` for each slab of at most
+        ``_BLOCK`` of the first ``2 d_max`` rows. Slab ``m`` maps the columns
+        from ``column`` on of the block ``m`` before onto the block.
+        """
+        t = self.toeplitz
+        q = t.shape[1]
+        span = t.shape[0] - q
+        slabs = []
+        for m, top in enumerate(range(span, 0, -q), 1):
+            bottom = max(top - q, 0)
+            slabs.append((m, q - top + bottom, t[bottom:top]))
+        return t[span:], tuple(slabs)
 
 
 def _bessel_orders(k: float, n: int) -> np.ndarray:
@@ -318,12 +345,23 @@ def apply_kick(state: QuantumState, kernel: KickKernel) -> None:
     non-negligible, since the kick could carry that much out of the window.
     """
     _check_kick(state, kernel)
-    state.support = _convolve(state.amplitudes, state.support, kernel)
+    state.support = _convolve(state, kernel)
 
 
-def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts of ``np.convolve(a, coefficients)`` as
-    matrix products with :attr:`KickKernel.toeplitz`.
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """``np.empty(shape)`` whose data starts on a 64-byte cache line."""
+    count = int(np.prod(shape))
+    raw = np.empty(count + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + count].reshape(shape)
+
+
+def _blocked_convolve(
+    a: np.ndarray, kernel: KickKernel, state: QuantumState
+) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts of ``np.convolve(a, kernel.coefficients)``
+    as matrix products with :attr:`KickKernel.toeplitz`, returned as views
+    of ``state``'s kick buffers.
 
     Each part is padded with zeros and cut into ``rows`` blocks of ``q``
     bins, and the two stacked as ``2 * rows`` rows. Every block's own share
@@ -334,43 +372,55 @@ def _blocked_convolve(a: np.ndarray, toeplitz: np.ndarray) -> tuple[np.ndarray, 
     input within ``2 d_max`` bins before its output, and the padding leaves
     at least ``2 d_max`` zeros at the end of the last real block, so nothing
     spills into the imaginary blocks.
+
+    The operand, the product and each slab's product are written into
+    ``state._kick_buffers``, three arrays of ``q``-bin rows, and the padding
+    is zeroed again every kick. They are built with rows for a slice of the
+    whole window at the first kick, and rebuilt only when a wider kernel
+    needs more rows. They start on a cache line: on preset b, buffers that
+    started mid-line took about 1 us more per kick.
     """
-    q = toeplitz.shape[1]
-    span = toeplitz.shape[0] - q
+    own, slabs = kernel._blocks
+    q = _BLOCK
+    span = kernel.coefficients.size - 1
     n = a.size
     rows = -(-(n + span) // q)
-    x = np.empty((2 * rows, q))
+    buffers = state._kick_buffers
+    if buffers is None or buffers[0].shape[0] < 2 * rows:
+        whole = -(-(state.window.size + span) // q)
+        buffers = state._kick_buffers = tuple(_aligned_empty((2 * whole, q)) for _ in range(3))
+    x, y, product = buffers
+    x, y, product = x[:2 * rows], y[:2 * rows], product[:2 * rows]
     flat = x.reshape(-1)
     flat[:n] = a.real
     flat[n:rows * q] = 0.0
     flat[rows * q:rows * q + n] = a.imag
     flat[rows * q + n:] = 0.0
-    y = x @ toeplitz[span:]
-    for m, top in enumerate(range(span, 0, -q), 1):
-        bottom = max(top - q, 0)
-        y[m:] += x[:-m, q - top + bottom:] @ toeplitz[bottom:top]
+    np.matmul(x, own, out=y)
+    for m, column, matrix in slabs:
+        y[m:] += np.matmul(x[:-m, column:], matrix, out=product[m:])
     flat = y.reshape(-1)
     return flat[:n + span], flat[rows * q:rows * q + n + span]
 
 
-def _convolve(
-    amplitudes: np.ndarray, support: tuple[int, int], kernel: KickKernel
-) -> tuple[int, int]:
-    """Kick the amplitudes on ``support`` in place; returns their new support.
+def _convolve(state: QuantumState, kernel: KickKernel) -> tuple[int, int]:
+    """Kick ``state``'s amplitudes on its support in place; returns their new
+    support.
 
     The full convolution of the support slice covers ``d_max`` more bins on
     each side. A slice clipped at a window edge may be shorter than the
     kernel, so the full convolution is taken and clipped here. The blocked
-    product copies the slice before anything is written, and every bin
-    outside the widened range lay outside ``support``, so it is already
-    zero. End bands of ``d_max`` bins below ``_SLICE_EPS`` are then zeroed
-    and dropped.
+    product copies the slice into the state's operand buffer before
+    anything is written, and every bin outside the widened range lay
+    outside the support, so it is already zero. End bands of ``d_max`` bins
+    below ``_SLICE_EPS`` are then zeroed and dropped.
     """
+    amplitudes = state.amplitudes
     d_max = kernel.coefficients.size // 2
-    lo, hi = support
+    lo, hi = state.support
     start, stop = max(lo - d_max, 0), min(hi + d_max, amplitudes.size)
     shift = lo - d_max
-    real, imag = _blocked_convolve(amplitudes[lo:hi], kernel.toeplitz)
+    real, imag = _blocked_convolve(amplitudes[lo:hi], kernel, state)
     amplitudes.real[start:stop] = real[start - shift:stop - shift]
     amplitudes.imag[start:stop] = imag[start - shift:stop - shift]
     if stop - start > d_max:

@@ -20,9 +20,14 @@ times ``exp(i*r)`` from its Taylor series through ``r^5``, whose truncation
 error is below 1e-19. The result agrees with ``np.exp(1j*beta)`` to a few
 units in the last place, and the draws are the same as with the exponential.
 A few-state readout touches a handful of amplitudes, where the exponential
-is cheaper than the split, so it keeps ``np.exp``. An all-states readout
-still draws one phase per window state, but builds factors only for the
-state's ``support``, outside which every amplitude is zero.
+is cheaper than the split, so it keeps ``np.exp``. A readout of one state
+(``"initial"``, or a one-state ``subset``) multiplies scalars, which gives
+the bits of the one-element array product. A readout of two or more states
+keeps one array product: on two or more elements numpy's complex product
+differs from scalar arithmetic in the last bit of about 44 % of products. An
+all-states readout still draws one phase per window state, but builds
+factors only for the state's ``support``, outside which every amplitude is
+zero.
 
 A readout writes into ``state.amplitudes`` and returns ``None``, like every
 operation of :mod:`zenomap.kick_engine`.
@@ -160,5 +165,9 @@ def apply_measurement(
         np.multiply(_phase_factors(rng.phases(window.size)[lo:hi]), a, out=a)
     else:
         states = {"none": (), "initial": (window.m0,)}.get(schedule.mode, schedule.subset)
-        positions = np.array([window.offset(m) for m in states], dtype=np.intp)
-        amplitudes[positions] *= np.exp(1j * rng.phases(positions.size))
+        if len(states) == 1:
+            pos = window.offset(states[0])
+            amplitudes[pos] *= np.exp(1j * rng.phases(1)[0])
+        else:
+            positions = np.array([window.offset(m) for m in states], dtype=np.intp)
+            amplitudes[positions] *= np.exp(1j * rng.phases(positions.size))

@@ -28,6 +28,15 @@ def copied(state: QuantumState) -> QuantumState:
     return QuantumState(state.window, state.amplitudes.copy(), state.time_index, state.support)
 
 
+def array_readout(state: QuantumState, states: tuple[int, ...], rng) -> None:
+    """A few-state readout as one array product, however many states it
+    reads out: the amplitudes of ``states`` (ascending) times
+    ``np.exp(1j * rng.phases(len(states)))``, in place. ``rng`` is a
+    :class:`zenomap.measurement.PhaseRandomizer`."""
+    positions = np.array([state.window.offset(m) for m in states], dtype=np.intp)
+    state.amplitudes[positions] *= np.exp(1j * rng.phases(positions.size))
+
+
 def occupations(state: QuantumState) -> np.ndarray:
     """``|a_m|^2`` over the whole window."""
     a = state.amplitudes

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -242,6 +243,8 @@ class TestBlockedKick:
         d_max, size = kernel.d_max, 1201
         assert -(-2 * d_max // _BLOCK) == _SLABS[k]
         rng = np.random.default_rng(int(10 * k))
+        # one state for every kick, so each reuses the buffers of the last
+        state = QuantumState(BasisWindow.centered(size // 2, size // 2), np.zeros(size, complex))
         kicks = 0
         for width in [1, 2, 63, 64, 65, 100, 319, 320, 513, 1024, size]:
             for lo in sorted({0, (size - width) // 2, size - width}):
@@ -249,8 +252,10 @@ class TestBlockedKick:
                 amps = np.zeros(size, complex)
                 amps[lo:hi] = rng.normal(size=width) + 1j * rng.normal(size=width)
                 amps /= np.linalg.norm(amps)
-                out = amps.copy()
-                support = _convolve(out, (lo, hi), kernel)
+                state.amplitudes[:] = amps
+                state.support = (lo, hi)
+                support = _convolve(state, kernel)
+                out = state.amplitudes
                 start, stop = max(lo - d_max, 0), min(hi + d_max, size)
                 expected = np.zeros(size, complex)
                 shift = lo - d_max
@@ -287,12 +292,98 @@ class TestBlockedKick:
         rng = np.random.default_rng(4)
         block = rng.normal(size=301) + 1j * rng.normal(size=301)
         outs = []
+        window = BasisWindow.centered(600, 600)
         for lo in (200, 437):
             amps = np.zeros(1201, complex)
             amps[lo:lo + 301] = block
-            support = _convolve(amps, (lo - 50, lo + 351), kernel10)
+            support = _convolve(QuantumState(window, amps, 0, (lo - 50, lo + 351)), kernel10)
             outs.append(amps[support[0]:support[1]])
         assert np.array_equal(outs[0], outs[1])
+
+
+def _kick_like_a_fresh_copy(state: QuantumState, kernel: KickKernel) -> None:
+    """Kick ``state``, whose buffers a kick before may have used, and a
+    copy of it, which builds its own; both give the same bits and support."""
+    fresh = copied(state)
+    apply_kick(state, kernel)
+    apply_kick(fresh, kernel)
+    assert state.support == fresh.support
+    assert np.array_equal(state.amplitudes.view(np.int64), fresh.amplitudes.view(np.int64))
+
+
+class TestKickBuffers:
+    def test_kick_after_the_support_shrinks(self, kernel10):
+        # the wide kick fills every row of the buffers; the narrow one must
+        # zero its padding again
+        window = BasisWindow.centered(0, 600)
+        rng = np.random.default_rng(30)
+        amps = np.zeros(window.size, complex)
+        amps[200:1000] = rng.normal(size=800) + 1j * rng.normal(size=800)
+        state = QuantumState(window, amps / np.linalg.norm(amps), 0, (200, 1000))
+        _kick_like_a_fresh_copy(state, kernel10)
+        buffers = state._kick_buffers
+        state.amplitudes[:] = 0.0
+        state.amplitudes[590:603] = rng.normal(size=13) + 1j * rng.normal(size=13)
+        state.support = (590, 603)
+        _kick_like_a_fresh_copy(state, kernel10)
+        assert state._kick_buffers is buffers
+
+    def test_kernel_switch_on_one_state(self):
+        # k = 10, 50, 10: one slab, three, one. The support is the whole
+        # window (faint at the edges), so the wider kernel needs more rows and
+        # rebuilds the buffers, and the narrower one reuses them.
+        kernels = [build_kernel(k) for k in (10.0, 50.0, 10.0)]
+        assert [-(-2 * kernel.d_max // _BLOCK) for kernel in kernels] == [1, 3, 1]
+        window = BasisWindow.centered(0, 300)
+        rng = np.random.default_rng(31)
+        amps = np.full(window.size, 1e-7, complex)
+        amps[200:400] = rng.normal(size=200) + 1j * rng.normal(size=200)
+        state = QuantumState(window, amps / np.linalg.norm(amps))
+        built = []
+        for kernel in kernels:
+            _kick_like_a_fresh_copy(state, kernel)
+            built.append(state._kick_buffers)
+        assert built[1] is not built[0] and built[2] is built[1]
+
+    def test_kick_at_the_window_edge(self, kernel10):
+        # a support that starts at the lower edge, with too little
+        # probability there for the kick to refuse it, after a kick
+        # elsewhere has used the buffers
+        window = BasisWindow.centered(0, 300)
+        rng = np.random.default_rng(32)
+        state = QuantumState.delta(window)
+        _kick_like_a_fresh_copy(state, kernel10)
+        amps = np.zeros(window.size, complex)
+        amps[:kernel10.d_max] = 1e-7
+        amps[kernel10.d_max:150] = rng.normal(size=150 - kernel10.d_max)
+        state.amplitudes[:] = amps / np.linalg.norm(amps)
+        state.support = (0, 150)
+        _kick_like_a_fresh_copy(state, kernel10)
+        assert state.support[0] == 0
+
+    def test_steps_allocate_no_array_data(self):
+        # once warm, a step allocates no array on the default 4001-state
+        # window: no operand, product or slab of the kick, no temporary
+        config = ExperimentConfig("kicked")
+        window = config.window()
+        kernel, spectrum = build_kernel(config.k), config.spectrum_model(window)
+        assert window.size == 4001
+        state = QuantumState.delta(window)
+        for _ in range(300):
+            step(state, kernel, spectrum)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(10):
+                step(state, kernel, spectrum)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 8 * 1024
 
 
 class TestApplyFree:

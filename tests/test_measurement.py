@@ -15,7 +15,7 @@ from zenomap.measurement import (
     apply_measurement,
 )
 
-from reference import copied, occupations
+from reference import array_readout, copied, occupations
 
 
 class TestSchedule:
@@ -150,6 +150,35 @@ class TestApplyMeasurement:
         expected[positions] *= np.exp(1j * betas)
         assert np.array_equal(out.amplitudes.view(np.int64), expected.view(np.int64))
 
+    @pytest.mark.parametrize("schedule, states", [
+        (MeasurementSchedule("initial"), (7,)),
+        (MeasurementSchedule("subset", 1, (12,)), (12,)),
+        (MeasurementSchedule("subset", 1, (12, -4)), (-4, 12)),
+        (MeasurementSchedule("subset", 1, (12, -4, 7)), (-4, 7, 12)),
+    ], ids=["initial", "one-state subset", "two-state subset", "three-state subset"])
+    def test_readout_matches_the_array_product(self, schedule, states):
+        # 10^4 readouts of fresh random amplitudes, of every magnitude, with
+        # replayed streams: a one-state readout takes scalars, and must give
+        # the bits of the one-element array product
+        window = BasisWindow(-20, 20, 7)
+        positions = [window.offset(m) for m in states]
+        count = 10_000
+        rng = np.random.default_rng(27)
+        values = (rng.normal(size=(count, len(states)))
+                  + 1j * rng.normal(size=(count, len(states))))
+        values *= 10.0 ** rng.uniform(-30.0, 2.0, size=(count, 1))
+        state, twin = _random_state(window, 28), _random_state(window, 28)
+        used, replayed = PhaseRandomizer(29, 4), PhaseRandomizer(29, 4)
+        got, want = np.empty_like(values), np.empty_like(values)
+        for i in range(count):
+            state.amplitudes[positions] = twin.amplitudes[positions] = values[i]
+            apply_measurement(state, schedule, used)
+            array_readout(twin, states, replayed)
+            got[i], want[i] = state.amplitudes[positions], twin.amplitudes[positions]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(state.amplitudes.view(np.int64), twin.amplitudes.view(np.int64))
+        assert used._rng.bit_generator.state == replayed._rng.bit_generator.state
+
     def test_subset_outside_window_rejected(self):
         # before any draw or write: -3 comes first in ascending m and lies
         # in the window, so a readout that wrote before it had checked every
@@ -161,6 +190,11 @@ class TestApplyMeasurement:
         used, unused = PhaseRandomizer(26), PhaseRandomizer(26)
         with pytest.raises(ValueError, match="outside window"):
             apply_measurement(state, schedule, used)
+        assert np.array_equal(state.amplitudes.view(np.int64), before.view(np.int64))
+        assert used._rng.bit_generator.state == unused._rng.bit_generator.state
+        # a one-state readout checks its state before it draws, too
+        with pytest.raises(ValueError, match="outside window"):
+            apply_measurement(state, MeasurementSchedule("subset", 1, (25,)), used)
         assert np.array_equal(state.amplitudes.view(np.int64), before.view(np.int64))
         assert used._rng.bit_generator.state == unused._rng.bit_generator.state
 

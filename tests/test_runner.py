@@ -591,13 +591,15 @@ class TestRunExperiment:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    @pytest.mark.parametrize("preset", "bd")
+    @pytest.mark.parametrize("preset", ["b", "d", "one-state subset"])
     def test_every_kick_goes_through_the_traced_calls(self, monkeypatch, preset):
         # The benchmark's tracer wraps these attributes and gates on the call
         # and draw counts, so a hot path that bypasses them must fail here.
-        config = _small_config(
-            k=5.0, window_halfwidth=200, n_kicks=20, realizations=2,
-        ).with_preset(preset)
+        config = _small_config(k=5.0, window_halfwidth=200, n_kicks=20, realizations=2)
+        if preset == "one-state subset":  # one state away from m0
+            config = dataclasses.replace(config, measurement_mode="subset", subset=(507,))
+        else:
+            config = config.with_preset(preset)
         expected = run_experiment(config).aggregate
         calls = dict.fromkeys(("step", "apply_kick", "apply_free", "apply_measurement",
                                "dispersion", "norm_sq", "draws"), 0)
@@ -619,7 +621,7 @@ class TestRunExperiment:
         assert calls == {
             "step": kicks, "apply_kick": kicks, "apply_free": kicks, "apply_measurement": kicks,
             "dispersion": kicks + config.realizations, "norm_sq": kicks + config.realizations,
-            "draws": kicks * (1 if preset == "b" else config.window().size),
+            "draws": kicks * (config.window().size if preset == "d" else 1),
         }
         for column in ("dispersion", "norm", "p_m0"):
             assert np.array_equal(getattr(series, column), getattr(expected, column))
@@ -641,14 +643,15 @@ class TestRunExperiment:
         run_experiment(config)
         assert len(built) == config.realizations
 
-    @pytest.mark.parametrize("preset", ["a", "b", "c", "d", "subset"])
+    @pytest.mark.parametrize("preset", ["a", "b", "c", "d", "subset", "one-state subset"])
     def test_rows_equal_a_loop_of_the_public_calls(self, preset):
         # The documented path, a loop of step and apply_measurement, must
         # give the runner's rows bit for bit.
         config = _small_config(k=5.0, window_halfwidth=200, n_kicks=30, realizations=2)
-        if preset == "subset":
+        if preset.endswith("subset"):
+            subset = (507,) if preset == "one-state subset" else (507, 500, 495)
             config = dataclasses.replace(config, measurement_mode="subset",
-                                         subset=(507, 500, 495), measurement_period=3)
+                                         subset=subset, measurement_period=3)
         else:
             config = config.with_preset(preset)
         if preset == "c":  # preset c's period of 200 never fires in 30 kicks
