@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
+    with open(args.config, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     config = parse_config(text)
     if args.preset:

@@ -184,7 +184,11 @@ class QuantumState:
 
 @dataclass(frozen=True, eq=False)
 class KickKernel:
-    """Real convolution weights ``J_d(k)`` for momentum transfers ``|d| <= d_max``."""
+    """Real convolution weights ``J_d(k)`` for momentum transfers ``|d| <= d_max``.
+
+    The blocked kick's banded matrix of these weights has one cached form,
+    :attr:`_blocks`, the views of it that the kick multiplies by.
+    """
 
     coefficients: np.ndarray  # index d + d_max, d = -d_max..d_max
 
@@ -193,34 +197,24 @@ class KickKernel:
         return self.coefficients.size // 2
 
     @cached_property
-    def toeplitz(self) -> np.ndarray:
-        """The banded matrix of the blocked kick, read-only, built at first use.
-
-        ``T[j, i] = c[i + 2 d_max - j]`` where that index lies in the kernel,
-        and 0 elsewhere, for ``2 d_max + _BLOCK`` rows and ``_BLOCK`` columns.
-        Its last ``_BLOCK`` rows map a block onto itself, its first
-        ``2 d_max`` rows map the ``2 d_max`` bins before the block onto it.
-        It has ``_BLOCK`` columns for every kernel, so at ``k = 1000`` it
-        holds 1.1 MiB.
-        """
-        span = self.coefficients.size - 1
-        lags = np.arange(_BLOCK) - np.arange(span + _BLOCK)[:, None] + span
-        inside = (lags >= 0) & (lags <= span)
-        matrix = np.where(inside, self.coefficients[np.clip(lags, 0, span)], 0.0)
-        matrix.flags.writeable = False
-        return matrix
-
-    @cached_property
     def _blocks(self) -> tuple[np.ndarray, tuple[tuple[int, int, np.ndarray], ...]]:
-        """The views of :attr:`toeplitz` that the blocked kick multiplies by,
-        built at first use: the last ``_BLOCK`` rows, which map a block onto
-        itself, then ``(m, column, matrix)`` for each slab of at most
-        ``_BLOCK`` of the first ``2 d_max`` rows. Slab ``m`` maps the columns
-        from ``column`` on of the block ``m`` before onto the block.
+        """The own block and the slabs of the blocked kick's banded matrix,
+        read-only views built at first use.
+
+        The matrix is ``T[j, i] = c[i + 2 d_max - j]`` where that index lies
+        in the kernel, and 0 elsewhere, for ``2 d_max + _BLOCK`` rows and
+        ``_BLOCK`` columns; at ``k = 1000`` it holds 1.1 MiB. The own block
+        is its last ``_BLOCK`` rows, which map a block onto itself. Slab
+        ``(m, column, matrix)`` is at most ``_BLOCK`` of its first ``2 d_max``
+        rows and maps the columns from ``column`` on of the block ``m``
+        before onto the block.
         """
-        t = self.toeplitz
-        q = t.shape[1]
-        span = t.shape[0] - q
+        q = _BLOCK
+        span = self.coefficients.size - 1
+        lags = np.arange(q) - np.arange(span + q)[:, None] + span
+        inside = (lags >= 0) & (lags <= span)
+        t = np.where(inside, self.coefficients[np.clip(lags, 0, span)], 0.0)
+        t.flags.writeable = False
         slabs = []
         for m, top in enumerate(range(span, 0, -q), 1):
             bottom = max(top - q, 0)
@@ -357,20 +351,21 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _blocked_convolve(
-    a: np.ndarray, kernel: KickKernel, state: QuantumState
+    state: QuantumState, kernel: KickKernel
 ) -> tuple[np.ndarray, np.ndarray]:
     """The real and imaginary parts of ``np.convolve(a, kernel.coefficients)``
-    as matrix products with :attr:`KickKernel.toeplitz`, returned as views
-    of ``state``'s kick buffers.
+    for the support slice ``a`` of ``state``'s amplitudes, as matrix
+    products with the blocks of :attr:`KickKernel._blocks`, returned as
+    views of ``state``'s kick buffers.
 
     Each part is padded with zeros and cut into ``rows`` blocks of ``q``
     bins, and the two stacked as ``2 * rows`` rows. Every block's own share
-    of its output block is one product with the last ``q`` rows of the
-    matrix. The ``2 d_max`` bins before the block add theirs in slabs of at
-    most ``q`` rows of the matrix: slab ``m`` takes the end of the block
-    ``m`` before, a single slab where ``2 d_max <= q``. Every product reads
-    input within ``2 d_max`` bins before its output, and the padding leaves
-    at least ``2 d_max`` zeros at the end of the last real block, so nothing
+    of its output block is one product with the own block of the matrix.
+    The ``2 d_max`` bins before the block add theirs in slabs of at most
+    ``q`` rows of the matrix: slab ``m`` takes the end of the block ``m``
+    before, a single slab where ``2 d_max <= q``. Every product reads input
+    within ``2 d_max`` bins before its output, and the padding leaves at
+    least ``2 d_max`` zeros at the end of the last real block, so nothing
     spills into the imaginary blocks.
 
     The operand, the product and each slab's product are written into
@@ -383,6 +378,8 @@ def _blocked_convolve(
     own, slabs = kernel._blocks
     q = _BLOCK
     span = kernel.coefficients.size - 1
+    lo, hi = state.support
+    a = state.amplitudes[lo:hi]
     n = a.size
     rows = -(-(n + span) // q)
     buffers = state._kick_buffers
@@ -416,11 +413,11 @@ def _convolve(state: QuantumState, kernel: KickKernel) -> tuple[int, int]:
     below ``_SLICE_EPS`` are then zeroed and dropped.
     """
     amplitudes = state.amplitudes
-    d_max = kernel.coefficients.size // 2
+    d_max = kernel.d_max
     lo, hi = state.support
     start, stop = max(lo - d_max, 0), min(hi + d_max, amplitudes.size)
     shift = lo - d_max
-    real, imag = _blocked_convolve(amplitudes[lo:hi], kernel, state)
+    real, imag = _blocked_convolve(state, kernel)
     amplitudes.real[start:stop] = real[start - shift:stop - shift]
     amplitudes.imag[start:stop] = imag[start - shift:stop - shift]
     if stop - start > d_max:

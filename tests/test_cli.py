@@ -214,6 +214,14 @@ class TestRunCommand:
         assert err.startswith("config error:")
         assert "key 'seed'" in err
 
+    def test_leading_byte_order_mark_is_ignored(self, config_file, tmp_path):
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + config_file.read_bytes())
+        out_plain, out_marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        assert main(["run", str(config_file), "--preset", "d", "--out", str(out_plain)]) == 0
+        assert main(["run", str(marked), "--preset", "d", "--out", str(out_marked)]) == 0
+        assert out_marked.read_bytes() == out_plain.read_bytes()
+
     def test_seed_override_changes_measured_output(self, config_file, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

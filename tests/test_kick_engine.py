@@ -268,24 +268,36 @@ class TestBlockedKick:
         # every kick, of every width and kernel, is the blocked product
         assert len(blocked) == kicks
 
-    def test_toeplitz_is_built_at_first_use_and_read_only(self):
+    def test_blocks_are_built_at_first_use_and_read_only(self):
         kernel = build_kernel(7.25)
-        assert "toeplitz" not in vars(kernel)  # building the kernel does not build it
-        matrix = kernel.toeplitz
-        assert kernel.toeplitz is matrix
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
-        span, q = 2 * kernel.d_max, matrix.shape[1]
-        assert matrix.shape == (span + q, q)
+        assert "_blocks" not in vars(kernel)  # building the kernel does not build them
+        blocks = kernel._blocks
+        assert kernel._blocks is blocks
+        own, slabs = blocks
+        views = [own] + [matrix for _, _, matrix in slabs]
+        for matrix in views:
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1.0
+        # every block is a view of one banded matrix of 2 d_max + _BLOCK rows
+        base = own.base
+        span, q = 2 * kernel.d_max, own.shape[1]
+        assert base.shape == (span + q, q)
+        assert not base.flags.writeable
+        assert all(matrix.base is base for matrix in views)
+        assert np.array_equal(own, base[span:])
         # the first bin of a block spreads over the block as the kernel does
-        assert np.array_equal(matrix[span, :span + 1], kernel.coefficients)
-        assert np.all(matrix[span, span + 1:] == 0.0)
+        assert np.array_equal(own[0, :span + 1], kernel.coefficients)
+        assert np.all(own[0, span + 1:] == 0.0)
         # every kernel has blocks of _BLOCK columns, so wide kernels stay small
         for k in _SLABS:
             kernel = build_kernel(k)
-            assert kernel.toeplitz.shape == (2 * kernel.d_max + _BLOCK, _BLOCK)
-            assert not kernel.toeplitz.flags.writeable
-        assert build_kernel(1000.0).toeplitz.nbytes <= 1.2e6
+            own, slabs = kernel._blocks
+            assert own.base.shape == (2 * kernel.d_max + _BLOCK, _BLOCK)
+            assert own.shape == (_BLOCK, _BLOCK)
+            assert len(slabs) == _SLABS[k]
+            for matrix in [own] + [matrix for _, _, matrix in slabs]:
+                assert not matrix.flags.writeable
+        assert build_kernel(1000.0)._blocks[0].base.nbytes <= 1.2e6
 
     def test_wide_translation_covariance(self, kernel10):
         # A state of 301 nonzero bins, kicked at two places of a wide support.

@@ -15,7 +15,7 @@ from zenomap.measurement import (
     apply_measurement,
 )
 
-from reference import array_readout, copied, occupations
+from reference import array_readout, copied, occupations, split_phase_factors
 
 
 class TestSchedule:
@@ -241,6 +241,9 @@ class TestPhaseFactors:
         factors = _phase_factors(betas.copy())
         assert np.max(np.abs(factors - np.exp(1j * betas))) <= 2e-15
         assert np.max(np.abs(np.abs(factors) - 1.0)) <= 2e-15
+        # the same bits as the split computed in another order of its steps
+        expected = split_phase_factors(betas.copy())
+        assert np.array_equal(factors.view(np.uint64), expected.view(np.uint64))
 
     def test_full_readout_consumes_one_draw_per_state(self):
         window = BasisWindow.centered(0, 300)
