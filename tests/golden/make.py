@@ -7,6 +7,11 @@ reruns the same cases and compares. The cases are:
 - presets a-d on the rotator and the random spectrum, at halfwidth 300,
   30 kicks and 3 realizations, so slices from one bin to hundreds of bins
   take the blocked kick and preset d nears the window's edge;
+- presets a and d at ``k = 50`` (``d_max = 87``), halfwidth 1000, 10 kicks
+  and 3 realizations, so every kick adds the bins before a block in three
+  slabs;
+- the rotator at halfwidth 300, 30 kicks and 3 realizations with three
+  states read out every third kick, the few-state readout of a subset;
 - a classical and a zeno run document;
 - ``zenomap zeno --n 64 --trials 20000 --out`` and the stdout of
   ``zenomap classical``.
@@ -36,6 +41,13 @@ GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 KICKED_DOCUMENT = (
     "experiment = kicked\nspectrum = {spectrum}\nwindow_halfwidth = 300\n"
     "n_kicks = 30\nrealizations = 3\nseed = 1\n"
+)
+K50_DOCUMENT = (
+    "experiment = kicked\nk = 50\nwindow_halfwidth = 1000\n"
+    "n_kicks = 10\nrealizations = 3\nseed = 1\n"
+)
+SUBSET_DOCUMENT = KICKED_DOCUMENT.format(spectrum="rotator") + (
+    "measurement_mode = subset\nsubset = 480, 500, 517\nmeasurement_period = 3\n"
 )
 DOCUMENTS = {
     "classical": "experiment = classical\nparticles = 500\nn_kicks = 50\nrealizations = 3\nseed = 1\n",
@@ -102,6 +114,10 @@ def generate() -> dict:
             for preset in "abcd":
                 name = f"kicked-{spectrum}-{preset}"
                 outputs[name] = {"kind": "kicked", **run(name, document, "--preset", preset)}
+        for preset in "ad":
+            name = f"kicked-k50-{preset}"
+            outputs[name] = {"kind": "kicked", **run(name, K50_DOCUMENT, "--preset", preset)}
+        outputs["kicked-subset"] = {"kind": "kicked", **run("kicked-subset", SUBSET_DOCUMENT)}
         for name, document in DOCUMENTS.items():
             outputs[name] = {"kind": "csv", **run(name, document)}
         out = work / "zeno-command.csv"
