@@ -106,8 +106,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config, "r", encoding="utf-8-sig") as handle:
-        text = handle.read()
+    with open(args.config, "rb") as handle:
+        document = handle.read()
+    try:
+        text = document.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as err:
+        raise ConfigError(
+            f"{args.config} is not UTF-8 text ({err.reason} at byte {err.start})"
+        ) from None
     config = parse_config(text)
     if args.preset:
         config = config.with_preset(args.preset)

@@ -25,7 +25,8 @@ end band of ``d_max`` bins whose probability is below ``_SLICE_EPS``
 (1e-30), zeroing it; a kick thus discards at most ``2 * _SLICE_EPS`` of
 norm.
 
-Every kick, of any slice and any kernel, is one blocked product: the real
+Every kick, of any slice and any kernel, is one blocked product, which
+:func:`_convolve` runs and writes back into the amplitudes itself: the real
 and imaginary parts of the slice are cut into blocks of ``_BLOCK`` bins,
 and each output block is its own input block times a banded Toeplitz
 matrix of the weights, plus the ``2 d_max`` bins before it times the rest
@@ -39,7 +40,7 @@ kick of a one-bin state, is the same bit for bit.
 Every operation writes into the state it is given and returns ``None``:
 the kick, the free flight, a whole :func:`step` and the readout
 (:func:`zenomap.measurement.apply_measurement`). The kick's second vector
-is the blocked product's own operand, which holds a copy of the slice.
+is the blocked product's operand buffer, which holds a copy of the slice.
 The operand, the product and the slab products live in buffers that each
 state builds at its first kick and reuses, and the kernel keeps its
 Toeplitz blocks as views built once, so after its first kick a state's
@@ -137,7 +138,7 @@ class QuantumState:
     ``_SLICE_EPS``-trimmed (see the module docstring).
 
     ``_kick_buffers`` is the blocked kick's scratch (see
-    :func:`_blocked_convolve`): built at the state's first kick, overwritten
+    :func:`_convolve`): built at the state's first kick, overwritten
     by every kick, never part of the state's value. It is not in the
     constructor or ``repr``, and a copy of the state starts without it.
     """
@@ -199,7 +200,8 @@ class KickKernel:
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, tuple[tuple[int, int, np.ndarray], ...]]:
         """The own block and the slabs of the blocked kick's banded matrix,
-        read-only views built at first use.
+        read-only views built at first use, which :func:`_convolve`
+        multiplies the blocks of a slice by.
 
         The matrix is ``T[j, i] = c[i + 2 d_max - j]`` where that index lies
         in the kernel, and 0 elsewhere, for ``2 d_max + _BLOCK`` rows and
@@ -350,23 +352,27 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     return raw[start:start + count].reshape(shape)
 
 
-def _blocked_convolve(
-    state: QuantumState, kernel: KickKernel
-) -> tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts of ``np.convolve(a, kernel.coefficients)``
-    for the support slice ``a`` of ``state``'s amplitudes, as matrix
-    products with the blocks of :attr:`KickKernel._blocks`, returned as
-    views of ``state``'s kick buffers.
+def _convolve(state: QuantumState, kernel: KickKernel) -> tuple[int, int]:
+    """Kick ``state``'s amplitudes on its support in place, as matrix
+    products with the blocks of :attr:`KickKernel._blocks`; returns their
+    new support.
 
-    Each part is padded with zeros and cut into ``rows`` blocks of ``q``
-    bins, and the two stacked as ``2 * rows`` rows. Every block's own share
-    of its output block is one product with the own block of the matrix.
-    The ``2 d_max`` bins before the block add theirs in slabs of at most
-    ``q`` rows of the matrix: slab ``m`` takes the end of the block ``m``
-    before, a single slab where ``2 d_max <= q``. Every product reads input
-    within ``2 d_max`` bins before its output, and the padding leaves at
-    least ``2 d_max`` zeros at the end of the last real block, so nothing
-    spills into the imaginary blocks.
+    The real and imaginary parts of the support slice are copied into the
+    operand buffer before anything is written, each padded with zeros and
+    cut into ``rows`` blocks of ``q`` bins, and the two stacked as
+    ``2 * rows`` rows. Every block's own share of its output block is one
+    product with the own block of the matrix. The ``2 d_max`` bins before
+    the block add theirs in slabs of at most ``q`` rows of the matrix: slab
+    ``m`` takes the end of the block ``m`` before, a single slab where
+    ``2 d_max <= q``. Every product reads input within ``2 d_max`` bins
+    before its output, and the padding leaves at least ``2 d_max`` zeros at
+    the end of the last real block, so nothing spills into the imaginary
+    blocks. Each half of the product then starts with the full convolution
+    ``np.convolve(slice, kernel.coefficients)``, whose bin ``i`` is array
+    position ``lo - d_max + i``. Its bins inside the window are written
+    back (a slice at a window edge may be shorter than the kernel); every
+    bin outside them lay outside the support, so it is already zero. End
+    bands of ``d_max`` bins below ``_SLICE_EPS`` are then zeroed and dropped.
 
     The operand, the product and each slab's product are written into
     ``state._kick_buffers``, three arrays of ``q``-bin rows, and the padding
@@ -376,18 +382,18 @@ def _blocked_convolve(
     started mid-line took about 1 us more per kick.
     """
     own, slabs = kernel._blocks
-    q = _BLOCK
-    span = kernel.coefficients.size - 1
+    q, d_max = _BLOCK, kernel.d_max
+    amplitudes = state.amplitudes
     lo, hi = state.support
-    a = state.amplitudes[lo:hi]
-    n = a.size
-    rows = -(-(n + span) // q)
+    n = hi - lo
+    rows = -(-(n + 2 * d_max) // q)
     buffers = state._kick_buffers
     if buffers is None or buffers[0].shape[0] < 2 * rows:
-        whole = -(-(state.window.size + span) // q)
+        whole = -(-(amplitudes.size + 2 * d_max) // q)
         buffers = state._kick_buffers = tuple(_aligned_empty((2 * whole, q)) for _ in range(3))
     x, y, product = buffers
     x, y, product = x[:2 * rows], y[:2 * rows], product[:2 * rows]
+    a = amplitudes[lo:hi]
     flat = x.reshape(-1)
     flat[:n] = a.real
     flat[n:rows * q] = 0.0
@@ -396,30 +402,11 @@ def _blocked_convolve(
     np.matmul(x, own, out=y)
     for m, column, matrix in slabs:
         y[m:] += np.matmul(x[:-m, column:], matrix, out=product[m:])
-    flat = y.reshape(-1)
-    return flat[:n + span], flat[rows * q:rows * q + n + span]
-
-
-def _convolve(state: QuantumState, kernel: KickKernel) -> tuple[int, int]:
-    """Kick ``state``'s amplitudes on its support in place; returns their new
-    support.
-
-    The full convolution of the support slice covers ``d_max`` more bins on
-    each side. A slice clipped at a window edge may be shorter than the
-    kernel, so the full convolution is taken and clipped here. The blocked
-    product copies the slice into the state's operand buffer before
-    anything is written, and every bin outside the widened range lay
-    outside the support, so it is already zero. End bands of ``d_max`` bins
-    below ``_SLICE_EPS`` are then zeroed and dropped.
-    """
-    amplitudes = state.amplitudes
-    d_max = kernel.d_max
-    lo, hi = state.support
     start, stop = max(lo - d_max, 0), min(hi + d_max, amplitudes.size)
-    shift = lo - d_max
-    real, imag = _blocked_convolve(state, kernel)
-    amplitudes.real[start:stop] = real[start - shift:stop - shift]
-    amplitudes.imag[start:stop] = imag[start - shift:stop - shift]
+    first, last = start - lo + d_max, stop - lo + d_max
+    flat = y.reshape(-1)
+    amplitudes.real[start:stop] = flat[first:last]
+    amplitudes.imag[start:stop] = flat[rows * q + first:rows * q + last]
     if stop - start > d_max:
         band = amplitudes[start:start + d_max]
         if np.vdot(band, band).real < _SLICE_EPS:

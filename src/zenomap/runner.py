@@ -457,12 +457,18 @@ def render_csv(series: DispersionSeries) -> str:
 def write_text_atomic(path: str, text: str) -> None:
     """Write UTF-8 ``text`` to ``path`` via a temporary file that ``os.replace``
     moves into place; the file gets ``open(path, "w")``'s mode (0666 less the
-    umask), and on failure an existing ``path`` is left unchanged."""
+    umask), and on failure an existing ``path`` is left unchanged. An
+    ``OSError`` that names the temporary file is raised again naming
+    ``path`` instead."""
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp, path)
+    except OSError as err:
+        if tmp not in (err.filename, err.filename2):
+            raise
+        raise type(err)(err.errno, err.strerror, path) from None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)

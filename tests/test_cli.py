@@ -222,6 +222,14 @@ class TestRunCommand:
         assert main(["run", str(marked), "--preset", "d", "--out", str(out_marked)]) == 0
         assert out_marked.read_bytes() == out_plain.read_bytes()
 
+    def test_document_that_is_not_utf8_is_config_error(self, config_file, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe" + config_file.read_bytes())
+        assert main(["run", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {path} is not UTF-8 text (invalid start byte at byte 0)\n"
+        assert captured.out == ""
+
     def test_seed_override_changes_measured_output(self, config_file, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -327,6 +335,30 @@ def test_run_too_large_for_memory_is_config_error(document, command, tmp_path, c
     assert captured.err.startswith("config error: Unable to allocate")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("target, message", [
+    ("missing/out.csv", "[Errno 2] No such file or directory"),
+    ("taken", "[Errno 21] Is a directory"),
+], ids=["missing-directory", "onto-directory"])
+@pytest.mark.parametrize("how", ["run-out", "output-path", "zeno-out"])
+def test_failed_write_names_the_output_path(how, target, message, tmp_path, capsys):
+    (tmp_path / "taken").mkdir()
+    out = str(tmp_path / target)
+    document = "experiment = kicked\nn_kicks = 3\nwindow_halfwidth = 100\n"
+    config = tmp_path / "run.cfg"
+    if how == "run-out":
+        argv = ["run", str(config), "--out", out]
+    elif how == "output-path":
+        document += f"output_path = {out}\n"
+        argv = ["run", str(config)]
+    else:
+        argv = ["zeno", "--n", "4", "--trials", "10", "--out", out]
+    config.write_text(document)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"i/o error: {message}: {out!r}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize(
