@@ -50,6 +50,7 @@ from .errors import (
     NoLocalizationError,
     NonFiniteError,
     NormDriftError,
+    NumericalError,
     TruncationOverflowError,
     ZenomapError,
 )
@@ -65,7 +66,7 @@ from .two_level import ProbabilityPair, zeno_survival
 __all__ = [
     "__version__",
     # errors
-    "ZenomapError", "TruncationOverflowError",
+    "ZenomapError", "NumericalError", "TruncationOverflowError",
     "NoLocalizationError", "NormDriftError", "NonFiniteError", "LostKickError", "ConfigError",
     # kicked ladder
     "BasisWindow", "QuantumState", "SpectrumModel", "build_kernel", "step",

@@ -1,11 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 configuration error (a run too large for memory
-too), 3 numerical failure (probability came within one kick of the window
-edge, the norm drifted, a series value is not finite, or a classical kick is
-below the rounding of the action), 4 I/O error. A command runs with numpy's
-overflow and invalid-value warnings off, since it rejects non-finite output
-itself.
+too), 3 numerical failure (an ``errors.NumericalError``), 4 I/O error. A
+command runs with numpy's overflow and invalid-value warnings off, since it
+rejects non-finite output itself.
 """
 
 from __future__ import annotations
@@ -20,13 +18,7 @@ import numpy as np
 
 from .chart import emit_chart
 from .classical import ClassicalEnsemble, ensemble_diffusion
-from .errors import (
-    ConfigError,
-    LostKickError,
-    NonFiniteError,
-    NormDriftError,
-    TruncationOverflowError,
-)
+from .errors import ConfigError, NumericalError
 from .runner import (
     CONFIG_KEYS,
     PRESETS,
@@ -195,10 +187,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # overflow warnings would only repeat that failure with source lines
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (ConfigError, argparse.ArgumentError) as err:
+    # MemoryError: a run too large for this machine
+    except (ConfigError, argparse.ArgumentError, MemoryError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TruncationOverflowError, NormDriftError, NonFiniteError, LostKickError) as err:
+    except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as err:
@@ -206,9 +199,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_IO
     except ValueError as err:
         print(f"invalid arguments: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MemoryError as err:  # a run too large for this machine
-        print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

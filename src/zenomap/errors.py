@@ -5,7 +5,11 @@ class ZenomapError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TruncationOverflowError(ZenomapError, RuntimeError):
+class NumericalError(ZenomapError):
+    """A run's numbers cannot be trusted: the CLI reports it with exit code 3."""
+
+
+class TruncationOverflowError(NumericalError, RuntimeError):
     """Probability has come within one kick of the truncated window's edge.
 
     Results past this point could silently lose norm, so the offending kick
@@ -21,29 +25,27 @@ class TruncationOverflowError(ZenomapError, RuntimeError):
         self.occupation = occupation
 
 
-class NormDriftError(ZenomapError, ValueError):
+class NormDriftError(NumericalError, ValueError):
     """A per-kick norm record deviates from 1 beyond tolerance.
 
-    A numerical failure like :class:`TruncationOverflowError`; it subclasses
-    ``ValueError`` because it is raised while a series is validated.
+    It subclasses ``ValueError`` because it is raised while a series is
+    validated.
     """
 
 
-class NonFiniteError(ZenomapError, ValueError):
+class NonFiniteError(NumericalError, ValueError):
     """A per-kick series column holds nan or inf, for example after an overflow.
 
-    A numerical failure like :class:`NormDriftError`, raised while a series
-    is validated; the message names the column.
+    Raised while a series is validated; the message names the column.
     """
 
 
-class LostKickError(ZenomapError, RuntimeError):
+class LostKickError(NumericalError, RuntimeError):
     """A classical kick is below the rounding of the action.
 
     With ``I0 + k == I0`` and ``I0 - k == I0`` in float64 every kicked action
     rounds back to ``I0``, so the ensemble cannot move and its dispersion
-    would read 0 at every step. A numerical failure like
-    :class:`TruncationOverflowError`.
+    would read 0 at every step.
     """
 
 

@@ -157,8 +157,8 @@ def diffusion_slope(series: DispersionSeries, j_lo: int, j_hi: int) -> float | n
 def detect_break_time(series: DispersionSeries, window: int = 25) -> BreakTimeEstimate:
     """First kick where the local growth rate collapses below the initial one.
 
-    Slopes are measured over trailing blocks of ``window`` kicks and compared
-    against the slope over the first block; the break is the first index
+    The :func:`diffusion_slope` of each trailing block of ``window`` kicks is
+    compared against that of the first block; the break is the first index
     where the trailing slope falls below ``_SLOPE_RATIO`` times the initial
     slope. For a kick strength ``k`` a block of about ``k^2 / 4`` kicks
     resolves the crossover well. Series that never slow down come back with
@@ -173,15 +173,8 @@ def detect_break_time(series: DispersionSeries, window: int = 25) -> BreakTimeEs
             f"series spans {span} kicks; need at least {8 * window} to "
             f"separate initial and trailing slopes at window={window}"
         )
-    d = series.dispersion
-    head = j <= j[0] + window
-    initial_slope = float(np.polyfit(j[head], d[head], 1)[0])
-    threshold = _SLOPE_RATIO * initial_slope
-    for pos in range(len(series)):
-        if j[pos] < j[0] + window:
-            continue
-        block = (j >= j[pos] - window) & (j <= j[pos])
-        trailing = float(np.polyfit(j[block], d[block], 1)[0])
-        if trailing < threshold:
-            return BreakTimeEstimate(j=int(j[pos]), delocalized=False)
+    threshold = _SLOPE_RATIO * diffusion_slope(series, j[0], j[0] + window)
+    for end in j[j >= j[0] + window]:
+        if diffusion_slope(series, end - window, end) < threshold:
+            return BreakTimeEstimate(j=int(end), delocalized=False)
     return BreakTimeEstimate(j=int(j[-1]), delocalized=True)

@@ -48,11 +48,6 @@ def moving_average(values: np.ndarray, width: int) -> np.ndarray:
     return np.convolve(values, np.ones(width) / width, mode="valid")
 
 
-def fit_slope(series, j_lo: int, j_hi: int) -> float:
-    mask = (series.j >= j_lo) & (series.j <= j_hi)
-    return float(np.polyfit(series.j[mask], series.dispersion[mask], 1)[0])
-
-
 @pytest.fixture(scope="session")
 def kernel10():
     return build_kernel(DEFAULT_K)

@@ -38,7 +38,7 @@ from zenomap.classical import ClassicalEnsemble
 from zenomap.runner import ExperimentConfig, render_csv, run_experiment
 from zenomap.two_level import monte_carlo_measured_evolve
 
-from conftest import fit_slope, moving_average
+from conftest import moving_average
 from reference import adjoint_step, copied, offsets
 
 
@@ -142,8 +142,8 @@ def test_criterion_07_initial_state_only(curve_b_record, curve_a):
     a_late_mean = float(np.mean(curve_a["series"].dispersion[curve_a["series"].j >= 500]))
     b_at_600 = float(smoothed[551])  # trailing 50-kick window ending at j=600
     exceeds = b_at_600 > a_late_mean
-    early = fit_slope(b, 0, 300)
-    late = fit_slope(b, 600, 1000)
+    early = diffusion_slope(b, 0, 300)
+    late = diffusion_slope(b, 600, 1000)
     slowed = late < 0.5 * early
     ok = increasing and exceeds and slowed
     _report(

@@ -10,6 +10,13 @@ import zenomap.cli as cli
 import zenomap.kick_engine as kick_engine
 import zenomap.measurement as measurement
 import zenomap.runner as runner
+from zenomap import (
+    LostKickError,
+    NonFiniteError,
+    NormDriftError,
+    NumericalError,
+    TruncationOverflowError,
+)
 from zenomap.cli import main
 
 
@@ -359,6 +366,23 @@ def test_failed_write_names_the_output_path(how, target, message, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err == f"i/o error: {message}: {out!r}\n"
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("error, base", [
+    (TruncationOverflowError, RuntimeError),
+    (NormDriftError, ValueError),
+    (NonFiniteError, ValueError),
+    (LostKickError, RuntimeError),
+])
+def test_numerical_errors_exit_3_and_keep_their_base(error, base, monkeypatch, capsys):
+    assert issubclass(error, NumericalError) and issubclass(error, base)
+
+    def fail(*args, **kwargs):
+        raise error("stubbed")
+
+    monkeypatch.setattr(cli, "ensemble_diffusion", fail)
+    assert main(["classical", "--particles", "10", "--steps", "2"]) == 3
+    assert capsys.readouterr().err == "numerical failure: stubbed\n"
 
 
 @pytest.mark.parametrize(
