@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
+import os
+import stat
 import sys
 from typing import Optional, Sequence
 
@@ -118,18 +121,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides["emit_svg"] = True
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    if config.emit_svg and config.output_path is None:
-        raise ConfigError("an SVG chart needs an output path; pass --out")
-    record = run_experiment(config)
     out = config.output_path
+    if config.emit_svg and out is None:
+        raise ConfigError("an SVG chart needs an output path; pass --out")
+    svg_path = _with_suffix(out, ".svg") if config.emit_svg else None
+    for path in (out, svg_path):
+        if path is not None:
+            _check_output_path(path)
+    record = run_experiment(config)
     if out is None:
         sys.stdout.write(render_csv(record.aggregate))
         return EXIT_OK
     write_csv(record, out)
     print(f"wrote {out} ({config.realizations} realization(s), "
           f"{record.wall_time:.2f}s)")
-    if config.emit_svg:
-        svg_path = _with_suffix(out, ".svg")
+    if svg_path is not None:
         emit_chart([record], svg_path)
         print(f"wrote {svg_path}")
     return EXIT_OK
@@ -140,7 +146,25 @@ def _with_suffix(path: str, suffix: str) -> str:
     return root + suffix
 
 
+def _check_output_path(path: str) -> None:
+    """Raise before the run the ``OSError`` that writing ``path`` would raise
+    after it when ``path`` is a directory or its directory is missing; any
+    other write failure is left to ``write_text_atomic``."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        code = 0 if os.path.isdir(os.path.dirname(path) or os.curdir) else errno.ENOENT
+    except OSError:
+        code = 0
+    else:  # the write refuses a directory named with a trailing "/" as ENOTDIR
+        code = errno.EISDIR if stat.S_ISDIR(mode) and os.path.basename(path) else 0
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_zeno(args: argparse.Namespace) -> int:
+    if args.out:
+        _check_output_path(args.out)
     n = args.n
     closed = zeno_survival(n)
     exp_approx = 0.5 * (1.0 - math.exp(-math.pi**2 / (2.0 * n)))

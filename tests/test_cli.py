@@ -21,6 +21,17 @@ from zenomap.cli import main
 
 
 @pytest.fixture()
+def no_simulation(monkeypatch):
+    """Fail any command that starts simulating."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the simulation started before the output paths were checked")
+
+    for name in ("run_experiment", "zeno_survival", "monte_carlo_measured_evolve"):
+        monkeypatch.setattr(cli, name, no_run)
+
+
+@pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
@@ -349,7 +360,8 @@ def test_run_too_large_for_memory_is_config_error(document, command, tmp_path, c
     ("taken", "[Errno 21] Is a directory"),
 ], ids=["missing-directory", "onto-directory"])
 @pytest.mark.parametrize("how", ["run-out", "output-path", "zeno-out"])
-def test_failed_write_names_the_output_path(how, target, message, tmp_path, capsys):
+def test_failed_write_names_the_output_path(how, target, message, tmp_path, no_simulation,
+                                            capsys):
     (tmp_path / "taken").mkdir()
     out = str(tmp_path / target)
     document = "experiment = kicked\nn_kicks = 3\nwindow_halfwidth = 100\n"
@@ -365,6 +377,31 @@ def test_failed_write_names_the_output_path(how, target, message, tmp_path, caps
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.err == f"i/o error: {message}: {out!r}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_svg_path_that_is_a_directory_fails_before_the_csv(tmp_path, no_simulation, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("experiment = kicked\nn_kicks = 3\nwindow_halfwidth = 100\n")
+    (tmp_path / "chart.svg").mkdir()
+    out = tmp_path / "chart.csv"
+    assert main(["run", str(config), "--out", str(out), "--svg"]) == 4
+    svg = str(tmp_path / "chart.svg")
+    assert capsys.readouterr().err == f"i/o error: [Errno 21] Is a directory: {svg!r}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target, error", [
+    ("missing/out.csv", FileNotFoundError),
+    ("taken", IsADirectoryError),
+], ids=["missing-directory", "onto-directory"])
+def test_write_text_atomic_names_the_path_not_its_temporary(target, error, tmp_path):
+    (tmp_path / "taken").mkdir()
+    path = str(tmp_path / target)
+    with pytest.raises(error) as excinfo:
+        runner.write_text_atomic(path, "text\n")
+    assert excinfo.value.filename == path
+    assert excinfo.value.filename2 is None
     assert not list(tmp_path.rglob("*.tmp"))
 
 
