@@ -164,6 +164,11 @@ def detect_break_time(series: DispersionSeries, window: int = 25) -> BreakTimeEs
     resolves the crossover well. Series that never slow down come back with
     the ``delocalized`` flag set.
     """
+    if series.dispersion.ndim != 1:
+        raise ValueError(
+            f"detect_break_time takes one run's series, got rows of shape "
+            f"{series.dispersion.shape}; pass one row or RunRecord.aggregate"
+        )
     if window < 2:
         raise ValueError(f"window must be >= 2 kicks, got {window}")
     j = series.j

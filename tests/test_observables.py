@@ -179,6 +179,14 @@ class TestBreakTime:
         with pytest.raises(ValueError):
             detect_break_time(series, window=25)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_stacked_rows_rejected(self, rows):
+        j = np.arange(301)
+        values = np.tile(50.0 * j, (rows, 1))
+        series = DispersionSeries(j, values, np.ones((rows, 301)), np.ones((rows, 301)))
+        with pytest.raises(ValueError, match=r"takes one run's series, got rows of shape"):
+            detect_break_time(series, window=25)
+
     def test_unmeasured_run_breaks_near_expected_time(self, curve_a):
         estimate = detect_break_time(curve_a["series"], window=25)
         assert not estimate.delocalized
