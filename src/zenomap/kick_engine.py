@@ -278,8 +278,8 @@ def build_kernel(k: float) -> KickKernel:
     for ``k <= 20`` and within 1e-17 absolute up to ``k = 1000``, and
     ``sum J_d^2`` (summed exactly) is within 2.3e-16 of 1.
     """
-    if k < 0:
-        raise ValueError(f"kick strength must be >= 0, got {k}")
+    if not 0 <= k < np.inf:
+        raise ValueError(f"kick strength must be finite and >= 0, got {k}")
     # Past the turning region |d| ~ k the coefficients decay superexponentially;
     # compute a generous band, extending until the tail is below threshold.
     d_hi = int(np.ceil(k + 12.0 * k ** (1.0 / 3.0) + 26.0))

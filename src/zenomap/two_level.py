@@ -51,8 +51,11 @@ def measured_populations(p: ProbabilityPair, phi: float, n):
     The population matrix has eigenvalues 1 and ``cos(2 phi)``, so its n-th
     power acts as ``p1 -> (1 + cos^n(2 phi) (p1 - p2)) / 2``. ``n`` is an int
     or an integer array; the populations are numpy scalars or arrays of its
-    shape. A non-finite ``phi`` gives nan, which the caller rejects.
+    shape. A non-finite ``phi`` gives nan, which the caller rejects; a
+    negative ``n``, or any negative entry of it, is a ``ValueError``.
     """
+    if np.any(np.less(n, 0)):
+        raise ValueError(f"n must be >= 0, got {np.min(n)}")
     angle = 2.0 * phi
     cos_n = np.float_power(math.cos(angle) if math.isfinite(angle) else math.nan, n)
     contrast = cos_n * (p.p1 - p.p2)

@@ -106,9 +106,10 @@ class TestBuildKernel:
         # kernel; that is sound only because d_max >= k.
         assert build_kernel(k).d_max >= k
 
-    def test_rejects_negative_strength(self):
-        with pytest.raises(ValueError):
-            build_kernel(-1.0)
+    @pytest.mark.parametrize("k", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_strength(self, k):
+        with pytest.raises(ValueError, match=r"^kick strength must be finite and >= 0, got "):
+            build_kernel(k)
 
     def test_runtime_imports_no_scipy(self):
         code = (

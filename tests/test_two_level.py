@@ -96,6 +96,11 @@ class TestMeasuredEvolveClosed:
         assert p1.tolist() == [c.p1 for c in closed]
         assert p2.tolist() == [c.p2 for c in closed]
 
+    @pytest.mark.parametrize("n", [-1, np.array([3, -1, 2])], ids=["scalar", "array"])
+    def test_populations_refuse_a_negative_segment_count(self, n):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            measured_populations(ProbabilityPair(1.0, 0.0), 0.5, n)
+
     @given(phi=st.floats(-10.0, 10.0))
     @settings(max_examples=60)
     def test_step_matrix_is_symmetric_doubly_stochastic(self, phi):
