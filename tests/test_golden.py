@@ -8,9 +8,10 @@ kicked values by less than 1e-15. Elsewhere kicked columns are compared
 within the blocked kick's tolerance: 1e-14 relative in ``dispersion``, 1e-14
 absolute in ``norm`` and 2e-15 absolute in ``p_m0``; zeno values within
 1e-12 relative, and classical values within 1e-12 relative up to kick
-``CLASSICAL_HORIZON`` only. The last two tests show that one ulp more in
+``CLASSICAL_HORIZON`` only. The last three tests show that one ulp more in
 every ``np.exp`` or ``np.sin`` value, as another machine's SIMD or libm code
-may give, stays within these tolerances.
+may give, or in every entry of the zeno Monte Carlo's sine tables, which
+come from ``np.sin`` and ``np.cos``, stays within these tolerances.
 """
 
 import importlib.util
@@ -23,6 +24,7 @@ import pytest
 
 # imported before a test patches numpy, so that no module constant sees the patch
 import zenomap.cli  # noqa: F401
+from zenomap import two_level
 
 _SPEC = importlib.util.spec_from_file_location(
     "golden_make", pathlib.Path(__file__).with_name("golden") / "make.py"
@@ -119,8 +121,12 @@ def _one_ulp_up(monkeypatch, outputs: dict, function: str) -> dict:
 
     with monkeypatch.context() as patch:
         patch.setattr(np, function, one_ulp_up)
-        perturbed = make.generate()
-    return {name: out for name, out in perturbed.items() if out != outputs[name]}
+        return _changed(outputs)
+
+
+def _changed(outputs: dict) -> dict:
+    """Every case rerun; returns the outputs that differ from ``outputs``."""
+    return {name: out for name, out in make.generate().items() if out != outputs[name]}
 
 
 def test_one_ulp_of_exp_stays_within_the_kicked_tolerance(monkeypatch, outputs):
@@ -131,10 +137,23 @@ def test_one_ulp_of_exp_stays_within_the_kicked_tolerance(monkeypatch, outputs):
 
 
 def test_one_ulp_of_sin_stays_within_the_classical_horizon(monkeypatch, outputs):
+    # np.sin gives the zeno Monte Carlo's sine tables only the entries from
+    # the sine of an eighth of a turn, and one ulp more in those does not
+    # move zeno-command's bytes; the next test moves every table entry
     moved = _one_ulp_up(monkeypatch, outputs, "sin")
-    assert sorted(moved) == ["classical", "classical-command", "zeno-command"]
+    assert sorted(moved) == ["classical", "classical-command"]
     for name, actual in moved.items():
         _compare(outputs[name], actual, exact=False, horizon=_horizon(name))
     # past the horizon the classical values have moved beyond the tolerance
     with pytest.raises(AssertionError):
         _compare(outputs["classical"], moved["classical"], exact=False)
+
+
+def test_one_ulp_of_the_sine_tables_stays_within_the_zeno_tolerance(monkeypatch, outputs):
+    tables = two_level._turn_tables
+    monkeypatch.setattr(
+        two_level, "_turn_tables", lambda: tuple(np.nextafter(t, np.inf) for t in tables())
+    )
+    moved = _changed(outputs)
+    assert sorted(moved) == ["zeno-command"]
+    _compare(outputs["zeno-command"], moved["zeno-command"], exact=False)
