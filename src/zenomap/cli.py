@@ -148,18 +148,22 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 def _check_output_path(path: str) -> None:
     """Raise before the run the ``OSError`` that writing ``path`` would raise
-    after it when ``path`` is a directory or its directory is missing; any
-    other write failure is left to ``write_text_atomic``."""
+    after it when ``path`` is a directory or its directory is missing. A path
+    whose last component is empty (``out/``) names no file: it fails with
+    ``EISDIR`` when it names a directory, and otherwise with the error of
+    ``lstat`` (``ENOTDIR`` or ``ENOENT``). Any other write failure is left to
+    ``write_text_atomic``."""
     try:
         mode = os.lstat(path).st_mode
-    except FileNotFoundError:
-        code = 0 if os.path.isdir(os.path.dirname(path) or os.curdir) else errno.ENOENT
-    except OSError:
-        code = 0
-    else:  # the write refuses a directory named with a trailing "/" as ENOTDIR
-        code = errno.EISDIR if stat.S_ISDIR(mode) and os.path.basename(path) else 0
-    if code:
-        raise OSError(code, os.strerror(code), path)
+    except OSError as err:
+        missing = isinstance(err, FileNotFoundError) and not os.path.isdir(
+            os.path.dirname(path) or os.curdir
+        )
+        if missing or not os.path.basename(path):
+            raise
+        return
+    if stat.S_ISDIR(mode):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _cmd_zeno(args: argparse.Namespace) -> int:

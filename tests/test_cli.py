@@ -358,12 +358,17 @@ def test_run_too_large_for_memory_is_config_error(document, command, tmp_path, c
 @pytest.mark.parametrize("target, message", [
     ("missing/out.csv", "[Errno 2] No such file or directory"),
     ("taken", "[Errno 21] Is a directory"),
-], ids=["missing-directory", "onto-directory"])
+    # a path ending in a separator names no file
+    ("taken/", "[Errno 21] Is a directory"),
+    ("file.csv/", "[Errno 20] Not a directory"),
+    ("missing/", "[Errno 2] No such file or directory"),
+], ids=["missing-directory", "onto-directory", "directory-slash", "file-slash", "missing-slash"])
 @pytest.mark.parametrize("how", ["run-out", "output-path", "zeno-out"])
 def test_failed_write_names_the_output_path(how, target, message, tmp_path, no_simulation,
                                             capsys):
     (tmp_path / "taken").mkdir()
-    out = str(tmp_path / target)
+    (tmp_path / "file.csv").write_text("kept\n")
+    out = os.path.join(tmp_path, target)  # a pathlib join would drop a trailing "/"
     document = "experiment = kicked\nn_kicks = 3\nwindow_halfwidth = 100\n"
     config = tmp_path / "run.cfg"
     if how == "run-out":
@@ -378,6 +383,7 @@ def test_failed_write_names_the_output_path(how, target, message, tmp_path, no_s
     captured = capsys.readouterr()
     assert captured.err == f"i/o error: {message}: {out!r}\n"
     assert not list(tmp_path.rglob("*.tmp"))
+    assert (tmp_path / "file.csv").read_text() == "kept\n"
 
 
 def test_svg_path_that_is_a_directory_fails_before_the_csv(tmp_path, no_simulation, capsys):
