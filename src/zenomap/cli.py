@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import errno
 import math
 import os
-import stat
 import sys
 from typing import Optional, Sequence
 
@@ -25,6 +23,7 @@ from .errors import ConfigError, NumericalError
 from .runner import (
     CONFIG_KEYS,
     PRESETS,
+    _check_output_path,
     _number,
     parse_config,
     render_csv,
@@ -144,26 +143,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _with_suffix(path: str, suffix: str) -> str:
     root = path[:-4] if path.lower().endswith(".csv") else path
     return root + suffix
-
-
-def _check_output_path(path: str) -> None:
-    """Raise before the run the ``OSError`` that writing ``path`` would raise
-    after it when ``path`` is a directory or its directory is missing. A path
-    whose last component is empty (``out/``) names no file: it fails with
-    ``EISDIR`` when it names a directory, and otherwise with the error of
-    ``lstat`` (``ENOTDIR`` or ``ENOENT``). Any other write failure is left to
-    ``write_text_atomic``."""
-    try:
-        mode = os.lstat(path).st_mode
-    except OSError as err:
-        missing = isinstance(err, FileNotFoundError) and not os.path.isdir(
-            os.path.dirname(path) or os.curdir
-        )
-        if missing or not os.path.basename(path):
-            raise
-        return
-    if stat.S_ISDIR(mode):
-        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def _cmd_zeno(args: argparse.Namespace) -> int:

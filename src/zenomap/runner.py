@@ -40,9 +40,11 @@ run all the same.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
 import os
 import secrets
+import stat
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
@@ -454,12 +456,35 @@ def render_csv(series: DispersionSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_output_path(path: str) -> None:
+    """The output-path rule, which the CLI applies before a run and
+    :func:`write_text_atomic` before it writes: raise the ``OSError``, naming
+    ``path``, of writing onto a directory or into a missing directory. A path
+    whose last component is empty (``out/``) names no file: it fails with
+    ``EISDIR`` when it names a directory, and otherwise with the error of
+    ``lstat`` (``ENOTDIR`` or ``ENOENT``). Any other write failure is left to
+    the write."""
+    try:
+        mode = os.lstat(path).st_mode
+    except OSError as err:
+        missing = isinstance(err, FileNotFoundError) and not os.path.isdir(
+            os.path.dirname(path) or os.curdir
+        )
+        if missing or not os.path.basename(path):
+            raise
+        return
+    if stat.S_ISDIR(mode):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def write_text_atomic(path: str, text: str) -> None:
     """Write UTF-8 ``text`` to ``path`` via a temporary file that ``os.replace``
     moves into place; the file gets ``open(path, "w")``'s mode (0666 less the
     umask), and on failure an existing ``path`` is left unchanged. An
     ``OSError`` that names the temporary file is raised again naming
-    ``path`` instead."""
+    ``path`` instead. :func:`_check_output_path` comes first, so a path
+    ending in a separator fails with its own fault."""
+    _check_output_path(path)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as handle:

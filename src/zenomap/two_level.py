@@ -23,78 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measurement
 from .pool import map_chunks
 
 _PAIR_TOL = 1e-12
-
-# sin(2 pi (u1 - u2)) is read from sin and cos at the turns h / _TURNS
-_TURNS = 4096
-# pi / 2048 to 43 bits, so that h * _EIGHTH_HEAD is exact for h <= 512, and
-# the rest of pi / 2048 (pi - float(pi) is 1.2246467991473532e-16)
-_EIGHTH_HEAD = math.ldexp(math.floor(math.ldexp(math.pi / 2048, 52)), -52)
-_EIGHTH_TAIL = (math.pi / 2048 - _EIGHTH_HEAD) + 1.2246467991473532e-16 / 2048
-
-
-def _turn_tables() -> tuple[np.ndarray, np.ndarray]:
-    """``sin`` and ``cos`` of ``2 pi h / 4096`` at index ``h + 4096``, for
-    ``h = -4096 ... 4096``.
-
-    Only the first eighth of a turn is computed, as ``sin(a) + cos(a) d``
-    and ``cos(a) - sin(a) d`` with the angle split into an exact ``a`` and a
-    residual ``d`` below 1.2e-13; the rest follows by symmetry, so every
-    zero and one in the tables is exact.
-    """
-    h = np.arange(_TURNS // 8 + 1)
-    a, d = h * _EIGHTH_HEAD, h * _EIGHTH_TAIL
-    sin_a, cos_a = np.sin(a), np.cos(a)
-    sin_e, cos_e = sin_a + cos_a * d, cos_a - sin_a * d
-    quarter = np.concatenate((sin_e, cos_e[-2::-1]))  # h = 0 ... 1024
-    half = np.concatenate((quarter, quarter[-2::-1]))  # h = 0 ... 2048
-    turn = np.concatenate((half, -half[1:-1]))  # h = 0 ... 4095
-    sine = turn[np.arange(-_TURNS, _TURNS + _TURNS // 4 + 1) % _TURNS]
-    return sine[: 2 * _TURNS + 1], sine[_TURNS // 4 :]  # cos is sin a quarter turn on
-
-
-def _sin_turns(u1, u2, tables, scratch, index) -> np.ndarray:
-    """``sin(2 pi (u1 - u2))`` for draws ``u1`` and ``u2`` of
-    ``Generator.random``, written into ``u1``, which is returned.
-
-    ``u1 - u2`` and ``t = 4096 (u1 - u2)`` are exact, since both draws are
-    multiples of 2**-53. With ``h = rint(t)`` and the residual angle
-    ``r = (t - h) 2 pi / 4096`` (one rounding, ``|r| <= pi / 4096``) the
-    sine is ``S[h] + (C[h] sin r + S[h] (cos r - 1))``: ``S`` and ``C`` are
-    :func:`_turn_tables`, and ``sin r`` and ``cos r - 1`` are their Taylor
-    series through ``r**5``. On 10**5 draws its largest absolute error
-    against mpmath was 1.6e-16, with table entries within one ulp, and that
-    of ``np.sin(2 pi u1 - 2 pi u2)``, whose two products are each rounded,
-    1.1e-15. ``u2`` and ``scratch`` (float) and ``index`` (intp), all of
-    ``u1``'s size, are overwritten.
-    """
-    sin_table, cos_table = tables
-    r, work, r2 = u1, u2, scratch
-    np.subtract(r, work, out=r)
-    r *= _TURNS
-    np.rint(r, out=work)
-    r -= work
-    r *= 2.0 * math.pi / _TURNS
-    np.add(work, _TURNS, out=index, casting="unsafe")
-    np.multiply(r, r, out=r2)
-    sin_r = np.multiply(r2, 1.0 / 120.0, out=work)
-    sin_r -= 1.0 / 6.0
-    sin_r *= r2
-    sin_r *= r
-    sin_r += r
-    cos_r1 = np.multiply(r2, 1.0 / 24.0, out=r)
-    cos_r1 -= 0.5
-    cos_r1 *= r2
-    # mode="clip" writes into out directly; the default buffers it. Every
-    # index is in range: |h| <= 4096.
-    sin_r *= np.take(cos_table, index, out=scratch, mode="clip")
-    sin_h = np.take(sin_table, index, out=scratch, mode="clip")
-    cos_r1 *= sin_h
-    cos_r1 += sin_r
-    cos_r1 += sin_h
-    return cos_r1
 
 
 @dataclass(frozen=True)
@@ -166,7 +98,8 @@ def monte_carlo_measured_evolve(
     randomized amplitudes. The trial average converges to
     :func:`measured_populations` since the interference term has zero mean.
     The phases are ``alpha = 2 pi u`` for uniform draws ``u``, and the
-    interference factor is :func:`_sin_turns` of the two draws.
+    interference factor ``sin(2 pi (u1 - u2))`` of the exact ``u1 - u2`` is
+    read from the readout's turn table (:mod:`zenomap.measurement`).
 
     Stream layout: ``default_rng(seed)`` gives, per step, ``u1`` for all
     trials and then ``u2`` for all trials. The trials are split into
@@ -187,7 +120,9 @@ def monte_carlo_measured_evolve(
     s = math.sin(phi)
     c2, s2, sin2phi = c * c, s * s, 2.0 * c * s
 
-    tables = _turn_tables()
+    table = measurement._turn_table()
+    # contiguous copies, since take reads a strided view about 10 % slower
+    cos_table, sin_table = table.real.copy(), table.imag.copy()
 
     def evolve_chunk(lo: int, hi: int) -> None:
         size = hi - lo
@@ -206,11 +141,20 @@ def monte_carlo_measured_evolve(
             rng.random(out=a2)
             bitgen.advance(trials - size)
             # In place, in the operation order of
-            #   cross = sin2phi * sqrt(q1 q2) * _sin_turns(u1, u2)
+            #   sine = S[h] + (C[h] sin r + S[h] (cos r - 1))
+            #   cross = sin2phi * sqrt(q1 q2) * sine
             #   q1, q2 = c2 q1 + s2 q2 + cross, s2 q1 + c2 q2 - cross
             # so every bit matches the whole-array form. Both populations are
             # analytically >= 0; clamp roundoff before the next sqrt.
-            _sin_turns(a1, a2, tables, cross, index)
+            np.subtract(a1, a2, out=a1)
+            _, sin_r, sine = measurement._split_turns(a1, a2, cross, index)
+            # mode="clip" writes into out directly; the default buffers it.
+            # Every index is in range: |h| <= 4096.
+            sin_r *= np.take(cos_table, index, out=cross, mode="clip")
+            sin_h = np.take(sin_table, index, out=cross, mode="clip")
+            sine *= sin_h
+            sine += sin_r
+            sine += sin_h
             np.multiply(q1, q2, out=cross)
             np.sqrt(cross, out=cross)
             cross *= sin2phi

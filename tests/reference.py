@@ -32,10 +32,10 @@ def copied(state: QuantumState) -> QuantumState:
 def array_readout(state: QuantumState, states: tuple[int, ...], rng) -> None:
     """A few-state readout as one array product, however many states it
     reads out: the amplitudes of ``states`` (ascending) times
-    ``np.exp(1j * rng.phases(len(states)))``, in place. ``rng`` is a
-    :class:`zenomap.measurement.PhaseRandomizer`."""
+    ``np.exp(1j * (u * 2 pi))`` for the turns ``u = rng.phases(len(states))``,
+    in place. ``rng`` is a :class:`zenomap.measurement.PhaseRandomizer`."""
     positions = np.array([state.window.offset(m) for m in states], dtype=np.intp)
-    state.amplitudes[positions] *= np.exp(1j * rng.phases(positions.size))
+    state.amplitudes[positions] *= np.exp(1j * (rng.phases(positions.size) * _TWO_PI))
 
 
 def occupations(state: QuantumState) -> np.ndarray:
@@ -91,33 +91,37 @@ def time_averaged_profile(states: Iterable[QuantumState]) -> np.ndarray:
     return total / count
 
 
-def split_phase_factors(betas: np.ndarray) -> np.ndarray:
-    """``exp(1j * betas)`` for phases in ``[0, 2*pi)`` by the table-and-residual
-    split of :mod:`zenomap.measurement`, with the Taylor sine and cosine
-    computed as whole arrays and then copied into the residual factor.
-    The package writes them into the residual in place, which must give
-    the same bits. Overwrites ``betas``."""
-    step, table = measurement._PHASE_STEP, measurement._PHASE_TABLE
-    work = betas * (1.0 / step)
-    h = work.astype(np.intp)
-    split = np.multiply(h, step, out=work)
-    factors = table.take(h)
-    r = np.subtract(betas, split, out=betas)
-    r2 = np.multiply(r, r, out=work)
-    poly = r2 * (1.0 / 120.0)
-    poly -= 1.0 / 6.0
-    poly *= r2
-    poly += 1.0
-    sin = np.multiply(r, poly, out=r)
-    cos = np.multiply(r2, 1.0 / 24.0, out=poly)
-    cos -= 0.5
-    cos *= r2
-    cos += 1.0
-    residual = np.empty(betas.size, dtype=np.complex128)
-    residual.real = cos
-    residual.imag = sin
+def split_turns(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(h + 4096, sin r, cos r - 1)`` for turns ``t`` split at the nearest
+    ``h / 4096``, as :func:`zenomap.measurement._split_turns` splits them
+    in place, here as whole arrays."""
+    t = t * 4096
+    h = np.rint(t)
+    r = (t - h) * (_TWO_PI / 4096)
+    r2 = r * r
+    sin_r = (r2 * (1.0 / 120.0) - 1.0 / 6.0) * r2 * r + r
+    cos_r1 = (r2 * (1.0 / 24.0) - 0.5) * r2
+    return (h + 4096).astype(np.intp), sin_r, cos_r1
+
+
+def split_phase_factors(turns: np.ndarray) -> np.ndarray:
+    """``exp(2 pi i turns)`` as the all-states readout forms it:
+    ``table[h] ((1 + (cos r - 1)) + i sin r)`` from :func:`split_turns`."""
+    index, sin_r, cos_r1 = split_turns(turns)
+    residual = np.empty(turns.size, dtype=np.complex128)
+    residual.real = 1.0 + cos_r1
+    residual.imag = sin_r
+    factors = measurement._turn_table()[index]
     factors *= residual
     return factors
+
+
+def turn_sine(t: np.ndarray) -> np.ndarray:
+    """``sin(2 pi t)`` as the two-level Monte Carlo forms it from the turn
+    table: ``S + (C sin r + S (cos r - 1))`` from :func:`split_turns`."""
+    index, sin_r, cos_r1 = split_turns(t)
+    table = measurement._turn_table()[index]
+    return table.imag + (table.real * sin_r + table.imag * cos_r1)
 
 
 # -- two-level system ---------------------------------------------------------

@@ -188,8 +188,8 @@ class TestRunCommand:
     ):
         real_factors = measurement._phase_factors
 
-        def leaky_factors(betas):
-            return real_factors(betas) * (1 + 1e-5)
+        def leaky_factors(turns):
+            return real_factors(turns) * (1 + 1e-5)
 
         monkeypatch.setattr(measurement, "_phase_factors", leaky_factors)
         assert main(["run", str(config_file), "--preset", "d"]) == 3
@@ -400,15 +400,21 @@ def test_svg_path_that_is_a_directory_fails_before_the_csv(tmp_path, no_simulati
 @pytest.mark.parametrize("target, error", [
     ("missing/out.csv", FileNotFoundError),
     ("taken", IsADirectoryError),
-], ids=["missing-directory", "onto-directory"])
+    ("taken/", IsADirectoryError),
+    ("f.csv/", NotADirectoryError),
+    ("missing/", FileNotFoundError),
+], ids=["missing-directory", "onto-directory", "directory-separator", "file-separator",
+        "missing-separator"])
 def test_write_text_atomic_names_the_path_not_its_temporary(target, error, tmp_path):
     (tmp_path / "taken").mkdir()
-    path = str(tmp_path / target)
+    (tmp_path / "f.csv").write_text("kept\n")
+    path = os.path.join(tmp_path, target)  # a pathlib join would drop a trailing "/"
     with pytest.raises(error) as excinfo:
         runner.write_text_atomic(path, "text\n")
     assert excinfo.value.filename == path
     assert excinfo.value.filename2 is None
     assert not list(tmp_path.rglob("*.tmp"))
+    assert (tmp_path / "f.csv").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("error, base", [

@@ -10,8 +10,9 @@ absolute in ``norm`` and 2e-15 absolute in ``p_m0``; zeno values within
 1e-12 relative, and classical values within 1e-12 relative up to kick
 ``CLASSICAL_HORIZON`` only. The last three tests show that one ulp more in
 every ``np.exp`` or ``np.sin`` value, as another machine's SIMD or libm code
-may give, or in every entry of the zeno Monte Carlo's sine tables, which
-come from ``np.sin`` and ``np.cos``, stays within these tolerances.
+may give, or in every entry of the turn table that the all-states readout
+and the zeno Monte Carlo share, which comes from ``np.sin`` and ``np.cos``,
+stays within these tolerances.
 """
 
 import importlib.util
@@ -24,7 +25,7 @@ import pytest
 
 # imported before a test patches numpy, so that no module constant sees the patch
 import zenomap.cli  # noqa: F401
-from zenomap import two_level
+from zenomap import measurement
 
 _SPEC = importlib.util.spec_from_file_location(
     "golden_make", pathlib.Path(__file__).with_name("golden") / "make.py"
@@ -137,9 +138,8 @@ def test_one_ulp_of_exp_stays_within_the_kicked_tolerance(monkeypatch, outputs):
 
 
 def test_one_ulp_of_sin_stays_within_the_classical_horizon(monkeypatch, outputs):
-    # np.sin gives the zeno Monte Carlo's sine tables only the entries from
-    # the sine of an eighth of a turn, and one ulp more in those does not
-    # move zeno-command's bytes; the next test moves every table entry
+    # the turn table is built once, before the patch, by the unpatched
+    # outputs; the next test moves every table entry
     moved = _one_ulp_up(monkeypatch, outputs, "sin")
     assert sorted(moved) == ["classical", "classical-command"]
     for name, actual in moved.items():
@@ -149,11 +149,15 @@ def test_one_ulp_of_sin_stays_within_the_classical_horizon(monkeypatch, outputs)
         _compare(outputs["classical"], moved["classical"], exact=False)
 
 
-def test_one_ulp_of_the_sine_tables_stays_within_the_zeno_tolerance(monkeypatch, outputs):
-    tables = two_level._turn_tables
-    monkeypatch.setattr(
-        two_level, "_turn_tables", lambda: tuple(np.nextafter(t, np.inf) for t in tables())
-    )
+def test_one_ulp_of_the_turn_table_stays_within_the_tolerances(monkeypatch, outputs):
+    table = measurement._turn_table()
+    perturbed = np.empty_like(table)
+    perturbed.real = np.nextafter(table.real, np.inf)
+    perturbed.imag = np.nextafter(table.imag, np.inf)
+    monkeypatch.setattr(measurement, "_turn_table", lambda: perturbed)
     moved = _changed(outputs)
-    assert sorted(moved) == ["zeno-command"]
-    _compare(outputs["zeno-command"], moved["zeno-command"], exact=False)
+    assert sorted(moved) == [
+        "kicked-k50-d", "kicked-random-d", "kicked-rotator-d", "zeno-command",
+    ]
+    for name, actual in moved.items():
+        _compare(outputs[name], actual, exact=False)

@@ -1,5 +1,8 @@
 """Measurement schedules and phase randomization."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,14 +11,13 @@ from hypothesis import strategies as st
 from zenomap import BasisWindow, QuantumState, dispersion
 from zenomap.kick_engine import apply_kick
 from zenomap.measurement import (
-    _PHASE_STEP,
     MeasurementSchedule,
     PhaseRandomizer,
     _phase_factors,
     apply_measurement,
 )
 
-from reference import array_readout, copied, occupations, split_phase_factors
+from reference import array_readout, copied, occupations, split_phase_factors, turn_sine
 
 
 class TestSchedule:
@@ -143,11 +145,11 @@ class TestApplyMeasurement:
         used, reference = PhaseRandomizer(19, 3), PhaseRandomizer(19, 3)
         out = copied(state)
         apply_measurement(out, schedule, used)
-        betas = reference.phases(len(states))
+        turns = reference.phases(len(states))
         assert used._rng.bit_generator.state == reference._rng.bit_generator.state
         positions = [window.offset(m) for m in states]
         expected = state.amplitudes.copy()
-        expected[positions] *= np.exp(1j * betas)
+        expected[positions] *= np.exp(1j * (turns * (2 * np.pi)))
         assert np.array_equal(out.amplitudes.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("schedule, states", [
@@ -217,32 +219,89 @@ class TestApplyMeasurement:
         assert dispersion(out) == pytest.approx(dispersion(state), rel=1e-13)
 
 
-class TestPhaseFactors:
-    """The table-and-residual factors against ``np.exp(1j * beta)``."""
+def _errors(t: np.ndarray):
+    """Two functions that give the absolute errors of estimates of
+    ``sin(2 pi t)`` and of ``cos(2 pi t)``, against mpmath."""
+    with mpmath.workprec(100):
+        exact = [(mpmath.sinpi(2 * x), mpmath.cospi(2 * x)) for x in t.tolist()]
+        parts = []
+        for values in zip(*exact):
+            hi = np.array([float(e) for e in values])
+            lo = np.array([float(e - h) for e, h in zip(values, hi.tolist())])
+            parts.append((hi, lo))
+    return tuple(lambda estimate, hi=hi, lo=lo: np.abs((estimate - hi) - lo)
+                 for hi, lo in parts)
+
+
+class TestTurnSplit:
+    """The turn table and split behind both phase randomizers: the readout's
+    factor ``exp(2 pi i t)`` and the Monte Carlo's ``sin(2 pi t)``, for
+    turns ``t`` that are draws of ``Generator.random`` or their differences."""
 
     @staticmethod
-    def _edge_phases() -> np.ndarray:
+    def _edge_turns() -> np.ndarray:
         h = np.unique(np.concatenate([
-            np.arange(0, 17), np.arange(4080, 4096),
-            np.random.default_rng(3).integers(0, 4096, 500),
+            np.arange(-4096, -4080), np.arange(-16, 17), np.arange(4080, 4097),
+            np.random.default_rng(3).integers(-4096, 4097, 500),
         ]))
-        split = h * _PHASE_STEP
-        return np.concatenate([
-            [0.0, np.nextafter(2 * np.pi, 0)], split, np.nextafter(split, 0),
-        ])
+        split = h / 4096
+        draw = 2.0**-53  # the neighbouring draws
+        edges = [0.0, 0.25, -0.25, 0.5, -0.5, 1.0 - draw, draw - 1.0]
+        turns = np.concatenate([edges, split, split + draw, split - draw])
+        return turns[np.abs(turns) <= 1.0]
+
+    @pytest.mark.parametrize("which", ["sampled", "edges"])
+    def test_against_mpmath(self, which):
+        if which == "sampled":
+            rng = np.random.default_rng(2718)
+            u1, u2 = rng.random(100_000), rng.random(100_000)
+            t = u1 - u2  # exact
+        else:
+            t = self._edge_turns()
+        sin_error, cos_error = _errors(t)
+        factors = _phase_factors(t.copy())
+        assert sin_error(factors.imag).max() <= 2.5e-16
+        assert cos_error(factors.real).max() <= 2.5e-16
+        assert np.max(np.abs(np.abs(factors) - 1.0)) <= 2e-15
+        sine = turn_sine(t)
+        assert sin_error(sine).max() <= 2.5e-16
+        if which == "sampled":
+            # np.sin of the difference of two rounded phases is further off
+            old = np.sin(u1 * (2.0 * math.pi) - u2 * (2.0 * math.pi))
+            assert sin_error(old).max() > 2 * sin_error(sine).max()
+
+    @pytest.mark.parametrize("t, sin, cos", [
+        (0.0, 0.0, 1.0),
+        (0.25, 1.0, 0.0),
+        (-0.25, -1.0, 0.0),
+        (0.5, 0.0, -1.0),
+        (-0.5, 0.0, -1.0),
+        (1.0 - 2.0**-53, None, 1.0),
+        (2.0**-53 - 1.0, None, 1.0),
+    ], ids=["0", "1/4", "-1/4", "1/2", "-1/2", "1-2^-53", "-(1-2^-53)"])
+    def test_edge_turns(self, t, sin, cos):
+        # the table's zeros and ones are exact
+        factor = _phase_factors(np.array([t]))[0]
+        sine = turn_sine(np.array([t]))[0]
+        assert factor.real == cos
+        if sin is not None:
+            assert factor.imag == sine == sin
+        else:  # sin(2 pi (1 - 2**-53)) = -sin(2 pi 2**-53), to a few of its ulps
+            value = math.copysign(2 * math.pi * 2.0**-53, -t)
+            assert factor.imag == pytest.approx(value, rel=1e-15)
+            assert sine == pytest.approx(value, rel=1e-15)
 
     @pytest.mark.parametrize("which", ["uniform", "edges"])
-    def test_matches_complex_exponential(self, which):
+    def test_readout_factors_are_the_whole_array_split(self, which):
         if which == "uniform":
-            betas = np.random.default_rng(20).uniform(0.0, 2 * np.pi, 10**6)
+            turns = np.random.default_rng(20).random(10**6)
         else:
-            betas = self._edge_phases()
-        assert np.all((betas >= 0.0) & (betas < 2 * np.pi))
-        factors = _phase_factors(betas.copy())
-        assert np.max(np.abs(factors - np.exp(1j * betas))) <= 2e-15
-        assert np.max(np.abs(np.abs(factors) - 1.0)) <= 2e-15
+            turns = self._edge_turns()
+            turns = turns[(turns >= 0.0) & (turns < 1.0)]
+        factors = _phase_factors(turns.copy())
+        assert np.max(np.abs(factors - np.exp(2j * np.pi * turns))) <= 2e-15
         # the same bits as the split computed in another order of its steps
-        expected = split_phase_factors(betas.copy())
+        expected = split_phase_factors(turns.copy())
         assert np.array_equal(factors.view(np.uint64), expected.view(np.uint64))
 
     def test_full_readout_consumes_one_draw_per_state(self):
@@ -251,10 +310,19 @@ class TestPhaseFactors:
         used, reference = PhaseRandomizer(13, 4), PhaseRandomizer(13, 4)
         out = copied(state)
         apply_measurement(out, MeasurementSchedule("all"), used)
-        betas = reference.phases(window.size)
+        turns = reference.phases(window.size)
         assert used._rng.bit_generator.state == reference._rng.bit_generator.state
-        assert np.allclose(out.amplitudes, state.amplitudes * np.exp(1j * betas),
+        assert np.allclose(out.amplitudes, state.amplitudes * np.exp(2j * np.pi * turns),
                            rtol=0, atol=4e-15)
+
+    def test_full_readout_is_the_whole_array_split(self):
+        window = BasisWindow.centered(0, 300)
+        state = _random_state(window, 10)
+        out = copied(state)
+        apply_measurement(out, MeasurementSchedule("all"), PhaseRandomizer(14, 2))
+        factors = split_phase_factors(PhaseRandomizer(14, 2).phases(window.size))
+        expected = factors * state.amplitudes
+        assert np.array_equal(out.amplitudes.view(np.uint64), expected.view(np.uint64))
 
 
 class TestPhaseRandomizer:
@@ -268,23 +336,23 @@ class TestPhaseRandomizer:
         b = PhaseRandomizer(11, 1).phases(100)
         assert not np.array_equal(a, b)
 
-    def test_phases_are_the_draws_of_uniform(self):
+    def test_phases_are_the_draws_of_random(self):
         seq = np.random.SeedSequence(11, spawn_key=(0, 2))
         reference = np.random.Generator(np.random.PCG64(seq))
         rng = PhaseRandomizer(11, 2)
         for count in (4001, 1, 7):
-            assert np.array_equal(rng.phases(count), reference.uniform(0.0, 2 * np.pi, count))
+            assert np.array_equal(rng.phases(count), reference.random(count))
 
     def test_phases_in_range(self):
         draws = PhaseRandomizer(12).phases(10_000)
         assert np.all(draws >= 0.0)
-        assert np.all(draws < 2 * np.pi)
+        assert np.all(draws < 1.0)
 
     def test_successive_draws_are_uncorrelated(self):
         # circular autocorrelation over 10^4 events at lags 1..10
         draws = PhaseRandomizer(42).phases(10_000)
         for lag in range(1, 11):
-            r = np.mean(np.exp(1j * (draws[lag:] - draws[:-lag])))
+            r = np.mean(np.exp(2j * np.pi * (draws[lag:] - draws[:-lag])))
             assert abs(r) < 0.05
 
 

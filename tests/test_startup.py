@@ -1,4 +1,5 @@
-"""A run loads the thread pool's modules only when it starts threads.
+"""A run loads the thread pool's modules only when it starts threads, and
+builds the turn table of the phase factors only when it needs them.
 
 Every check runs in a fresh interpreter, since a module stays in
 ``sys.modules`` once anything has imported it.
@@ -52,3 +53,18 @@ def test_a_pooled_classical_run_loads_the_pool_and_keeps_the_bytes(tmp_path):
     # main prints a "wrote" line before each list
     assert _python(code).splitlines()[1::2] == ["[]", repr(list(POOL_MODULES))]
     assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+
+
+def test_import_and_a_one_state_readout_build_no_turn_table():
+    code = (
+        "import zenomap; from zenomap import measurement; "
+        "from zenomap.runner import ExperimentConfig, run_experiment; "
+        "built = lambda: measurement._turn_table.cache_info().currsize; "
+        "sizes = [built()]; "
+        "config = ExperimentConfig('kicked', n_kicks=5, window_halfwidth=300); "
+        "run_experiment(config.with_preset('b')); sizes.append(built()); "
+        "run_experiment(config.with_preset('d')); sizes.append(built()); "
+        "print(sizes)"
+    )
+    # preset b reads out the initial state alone; preset d every state
+    assert _python(code) == "[0, 0, 1]\n"

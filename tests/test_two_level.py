@@ -4,21 +4,15 @@ form against iteration, the Zeno limit, and the Monte Carlo that converges to it
 import math
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenomap import ProbabilityPair, zeno_survival
-from zenomap.two_level import (
-    _sin_turns,
-    _turn_tables,
-    measured_populations,
-    monte_carlo_measured_evolve,
-)
+from zenomap.two_level import measured_populations, monte_carlo_measured_evolve
 
-from reference import measured_evolve_closed, measured_probability_step
+from reference import measured_evolve_closed, measured_probability_step, turn_sine
 
 class TestMeasuredStep:
     def test_quarter_angle_equalizes(self):
@@ -212,7 +206,6 @@ class TestMonteCarlo:
 def _serial_monte_carlo(p0, phi, n, trials, seed):
     # the single-threaded loop the chunked trials must reproduce bit for bit
     rng = np.random.default_rng(seed)
-    tables = _turn_tables()
     p1 = np.full(trials, p0.p1)
     p2 = np.full(trials, p0.p2)
     c = math.cos(phi)
@@ -221,7 +214,7 @@ def _serial_monte_carlo(p0, phi, n, trials, seed):
     for _ in range(n):
         u1 = rng.random(trials)
         u2 = rng.random(trials)
-        interference = _sin_turns(u1, u2, tables, np.empty(trials), np.empty(trials, np.intp))
+        interference = turn_sine(u1 - u2)
         cross = sin2phi * np.sqrt(p1 * p2) * interference
         p1, p2 = c2 * p1 + s2 * p2 + cross, s2 * p1 + c2 * p2 - cross
         np.maximum(p1, 0.0, out=p1)
@@ -252,49 +245,6 @@ def test_monte_carlo_chunks_survive_frequent_thread_switches(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert result == oracle
-
-
-def _sin_turns_error(u1, u2):
-    """``_sin_turns`` on the draws ``u1``, ``u2`` and a function that gives
-    the absolute error of any estimate of ``sin(2 pi (u1 - u2))``."""
-    got = _sin_turns(u1.copy(), u2.copy(), _turn_tables(), np.empty(u1.size),
-                     np.empty(u1.size, np.intp))
-    with mpmath.workprec(100):
-        exact = [mpmath.sinpi(2 * d) for d in (u1 - u2).tolist()]  # u1 - u2 is exact
-        hi = np.array([float(e) for e in exact])
-        lo = np.array([float(e - h) for e, h in zip(exact, hi.tolist())])
-    return got, lambda estimate: np.abs((estimate - hi) - lo)
-
-
-class TestSinTurns:
-    """The Monte Carlo's interference factor ``sin(2 pi (u1 - u2))``."""
-
-    def test_sampled_draws_against_mpmath(self):
-        rng = np.random.default_rng(2718)
-        u1, u2 = rng.random(100_000), rng.random(100_000)
-        got, error = _sin_turns_error(u1, u2)
-        assert error(got).max() <= 2.5e-16
-        # np.sin of the difference of two rounded phases is further off
-        old = np.sin(u1 * (2.0 * math.pi) - u2 * (2.0 * math.pi))
-        assert error(old).max() > 2 * error(got).max()
-
-    @pytest.mark.parametrize("u1, u2, value", [
-        (0.5, 0.5, 0.0),
-        (0.5, 0.25, 1.0),
-        (0.25, 0.5, -1.0),
-        (0.75, 0.25, 0.0),
-        (0.25, 0.75, 0.0),
-        (1.0 - 2.0**-53, 0.0, None),
-        (0.0, 1.0 - 2.0**-53, None),
-    ], ids=["0", "1/4", "-1/4", "1/2", "-1/2", "1-2^-53", "-(1-2^-53)"])
-    def test_edge_differences(self, u1, u2, value):
-        got, error = _sin_turns_error(np.array([u1]), np.array([u2]))
-        assert error(got)[0] <= 2.5e-16
-        if value is not None:  # the tables' zeros and ones are exact
-            assert got[0] == value
-        else:  # sin(2 pi (1 - 2**-53)) = -sin(2 pi 2**-53), to a few of its ulps
-            assert got[0] == pytest.approx(math.copysign(2 * math.pi * 2.0**-53, u2 - u1),
-                                           rel=1e-15)
 
 
 def test_phase_difference_interference_averages_out():
