@@ -12,7 +12,9 @@ interference term of the coherent step drops out and the populations evolve
 under a symmetric doubly stochastic matrix whose matrix power has a closed
 form, :func:`measured_populations`. :func:`zeno_survival` and the runner's
 ``zeno`` experiment both read it, and :func:`monte_carlo_measured_evolve`
-draws the phases explicitly and converges to it.
+draws the phases explicitly and converges to it. Its trials carry the
+transfer ``p2`` alone, ``p1 = 1 - p2``: ``p2`` is small in the Zeno regime,
+where ``1 - p1`` would lose its relative accuracy.
 """
 
 from __future__ import annotations
@@ -91,12 +93,14 @@ def monte_carlo_measured_evolve(
 
     Each trial evolves amplitudes whose phases are redrawn independently,
     uniformly on [0, 2*pi), before every coherent segment. Only the moduli
-    feed back into later steps, so the update is carried in population form:
-    one segment maps ``p1`` to
-    ``cos^2(phi) p1 + sin^2(phi) p2 + sin(2 phi) sqrt(p1 p2) sin(alpha1 - alpha2)``,
+    feed back into later steps, and ``p1 = 1 - p2``, so each trial carries
+    the transfer ``p2`` alone, from ``p0.p2``: it is small in the Zeno regime,
+    where ``1 - p1`` would lose its relative accuracy. One segment maps it to
+    ``sin^2(phi) + cos(2 phi) p2 - sin(2 phi) sqrt(p2 (1 - p2)) sin(alpha1 - alpha2)``,
     which is exactly the squared modulus of the coherent step applied to the
-    randomized amplitudes. The trial average converges to
-    :func:`measured_populations` since the interference term has zero mean.
+    randomized amplitudes; the result is ``(1 - mean p2, mean p2)``. The
+    trial average converges to :func:`measured_populations` since the
+    interference term has zero mean.
     The phases are ``alpha = 2 pi u`` for uniform draws ``u``, and the
     interference factor ``sin(2 pi (u1 - u2))`` of the exact ``u1 - u2`` is
     read from the readout's turn table (:mod:`zenomap.measurement`).
@@ -114,11 +118,9 @@ def monte_carlo_measured_evolve(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     start = np.random.default_rng(seed).bit_generator.state
-    p1 = np.full(trials, p0.p1, dtype=float)  # an int pair would make int arrays
-    p2 = np.full(trials, p0.p2, dtype=float)
-    c = math.cos(phi)
+    p2 = np.full(trials, p0.p2, dtype=float)  # an int pair would make an int array
     s = math.sin(phi)
-    c2, s2, sin2phi = c * c, s * s, 2.0 * c * s
+    s2, cos2phi, sin2phi = s * s, math.cos(2.0 * phi), 2.0 * math.cos(phi) * s
 
     table = measurement._turn_table()
     # contiguous copies, since take reads a strided view about 10 % slower
@@ -130,7 +132,7 @@ def monte_carlo_measured_evolve(
         bitgen.state = start
         bitgen.advance(lo)
         rng = np.random.Generator(bitgen)
-        q1, q2 = p1[lo:hi], p2[lo:hi]
+        q = p2[lo:hi]
         a1, a2, cross = np.empty(size), np.empty(size), np.empty(size)
         index = np.empty(size, dtype=np.intp)
         for _ in range(n):
@@ -142,10 +144,9 @@ def monte_carlo_measured_evolve(
             bitgen.advance(trials - size)
             # In place, in the operation order of
             #   sine = S[h] + (C[h] sin r + S[h] (cos r - 1))
-            #   cross = sin2phi * sqrt(q1 q2) * sine
-            #   q1, q2 = c2 q1 + s2 q2 + cross, s2 q1 + c2 q2 - cross
-            # so every bit matches the whole-array form. Both populations are
-            # analytically >= 0; clamp roundoff before the next sqrt.
+            #   q = s2 + cos2phi q - sin2phi sqrt(q (1 - q)) sine
+            # so every bit matches the whole-array form. q is analytically
+            # in [0, 1]; clamp roundoff before the next sqrt.
             np.subtract(a1, a2, out=a1)
             _, sin_r, sine = measurement._split_turns(a1, a2, cross, index)
             # mode="clip" writes into out directly; the default buffers it.
@@ -155,22 +156,17 @@ def monte_carlo_measured_evolve(
             sine *= sin_h
             sine += sin_r
             sine += sin_h
-            np.multiply(q1, q2, out=cross)
+            np.subtract(1.0, q, out=cross)
+            cross *= q
             np.sqrt(cross, out=cross)
             cross *= sin2phi
-            cross *= a1
-            np.multiply(q1, c2, out=a1)
-            np.multiply(q2, s2, out=a2)
-            a1 += a2
-            a1 += cross
-            np.multiply(q1, s2, out=a2)
-            q2 *= c2
-            np.add(a2, q2, out=q2)
-            q2 -= cross
-            np.maximum(q2, 0.0, out=q2)
-            np.maximum(a1, 0.0, out=q1)
+            cross *= sine
+            q *= cos2phi
+            q += s2
+            q -= cross
+            np.clip(q, 0.0, 1.0, out=q)
 
     if n:
         map_chunks(evolve_chunk, trials)
-    total = p1 + p2
-    return ProbabilityPair(float(np.mean(p1 / total)), float(np.mean(p2 / total)))
+    transfer = float(np.mean(p2))
+    return ProbabilityPair(1.0 - transfer, transfer)

@@ -173,7 +173,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("n", [0, 1, 8])
     def test_int_pair_gives_the_float_pair_result(self, n):
-        # the trial arrays are float even for an int pair, whose int arrays
+        # the trial array is float even for an int pair, whose int array
         # the in-place update could not hold
         ints = monte_carlo_measured_evolve(ProbabilityPair(1, 0), 0.3, n, 500, seed=9)
         floats = monte_carlo_measured_evolve(ProbabilityPair(1.0, 0.0), 0.3, n, 500, seed=9)
@@ -203,8 +203,8 @@ class TestMonteCarlo:
         assert mc.p2 == pytest.approx(oracle.p2, abs=1e-12)
 
 
-def _serial_monte_carlo(p0, phi, n, trials, seed):
-    # the single-threaded loop the chunked trials must reproduce bit for bit
+def _two_population_reference(p0, phi, n, trials, seed):
+    # accuracy reference: both populations per trial, renormalized at the end
     rng = np.random.default_rng(seed)
     p1 = np.full(trials, p0.p1)
     p2 = np.full(trials, p0.p2)
@@ -221,6 +221,36 @@ def _serial_monte_carlo(p0, phi, n, trials, seed):
         np.maximum(p2, 0.0, out=p2)
     total = p1 + p2
     return ProbabilityPair(float(np.mean(p1 / total)), float(np.mean(p2 / total)))
+
+
+@pytest.mark.parametrize("p0", [(1.0, 0.0), (0.75, 0.25)])
+@pytest.mark.parametrize("n,trials", [(64, 20_000), (1000, 5000)])
+def test_monte_carlo_keeps_the_accuracy_of_both_populations(p0, n, trials):
+    # In the Zeno regime p2 is small: carrying p1 and taking p2 = 1 - p1
+    # moves p2 by 3e-11 relative at n = 1000 from p0 = (1, 0).
+    p0 = ProbabilityPair(*p0)
+    phi = math.pi / (2 * n)
+    reference = _two_population_reference(p0, phi, n, trials, seed=9)
+    mc = monte_carlo_measured_evolve(p0, phi, n, trials, seed=9)
+    assert mc.p1 == pytest.approx(reference.p1, rel=1e-12, abs=0.0)
+    assert mc.p2 == pytest.approx(reference.p2, rel=1e-12, abs=0.0)
+
+
+def _serial_monte_carlo(p0, phi, n, trials, seed):
+    # the single-threaded loop the chunked trials must reproduce bit for bit
+    rng = np.random.default_rng(seed)
+    p2 = np.full(trials, p0.p2)
+    c = math.cos(phi)
+    s = math.sin(phi)
+    s2, cos2phi, sin2phi = s * s, math.cos(2.0 * phi), 2.0 * c * s
+    for _ in range(n):
+        u1 = rng.random(trials)
+        u2 = rng.random(trials)
+        interference = turn_sine(u1 - u2)
+        p2 = s2 + cos2phi * p2 - sin2phi * np.sqrt(p2 * (1.0 - p2)) * interference
+        np.clip(p2, 0.0, 1.0, out=p2)
+    transfer = float(np.mean(p2))
+    return ProbabilityPair(1.0 - transfer, transfer)
 
 
 @pytest.mark.parametrize("trials,threads", [(1, 4), (7, 3), (1000, 2), (1001, 5)])
