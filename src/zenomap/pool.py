@@ -1,23 +1,27 @@
 """The thread budget and the one way the package spreads work over it.
 
 ``ZENO_MAP_THREADS`` caps the number of threads (default: the CPUs the
-process may run on). :func:`map_chunks` alone decides how many items each
-thread takes; callers write each chunk into their own slice of the output,
-so what they build does not depend on the thread count. The executor
-(``concurrent.futures``, which loads ``logging`` and ``queue`` with it) is
-imported at the first call that starts threads, so ``import zenomap``, a
-kicked run and a one-thread run never load it.
+process may run on; a setting above ``MAX_THREADS`` is refused).
+:func:`map_chunks` alone decides how many items each thread takes; callers
+write each chunk into their own slice of the output, so what they build does
+not depend on the thread count. The calling thread works too, beside plain
+``threading.Thread`` helpers; there is no executor, so no run loads
+``concurrent.futures`` (and the ``logging`` and ``queue`` it brings).
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
+from threading import Lock, Thread
 from typing import Callable, Optional
 
 from .errors import ConfigError
 
 THREADS_ENV = "ZENO_MAP_THREADS"
+# A set budget is checked before any thread starts: a failed Thread.start
+# would be a RuntimeError that maps to no exit code.
+MAX_THREADS = 256
 
 
 def thread_budget() -> int:
@@ -33,6 +37,8 @@ def thread_budget() -> int:
         raise ConfigError(f"{THREADS_ENV} must be an integer, got '{raw}'") from None
     if threads < 1:
         raise ConfigError(f"{THREADS_ENV} must be >= 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise ConfigError(f"{THREADS_ENV} must be <= {MAX_THREADS}, got {threads}")
     return threads
 
 
@@ -40,27 +46,45 @@ def map_chunks(fn: Callable[[int, int], None], total: int, cap: Optional[int] = 
     """Call ``fn(lo, hi)`` on contiguous chunks that cover ``range(total)``.
 
     A chunk holds ``min(cap, ceil(total / thread_budget()))`` items (the last
-    one may hold fewer). The chunks start in order on a pool of ``min(threads,
-    chunks)`` threads, each in a copy of the caller's context, so
-    ``np.errstate`` carries over; one chunk or one thread runs inline. When a
-    chunk raises, the chunks not yet started are cancelled and the lowest
-    failing chunk's error is raised, as in a serial run.
+    one may hold fewer). The calling thread and ``min(threads, chunks) - 1``
+    helper threads, each helper in a copy of the caller's context (so
+    ``np.errstate`` carries over), take the chunks in order from one shared
+    list; one chunk or one thread starts no helper. Once a chunk raises, no
+    worker takes another, so every chunk below a failing one has run; after
+    every helper is joined, the lowest failing chunk's error is raised, as in
+    a serial run.
     """
     threads = thread_budget()
     size = min(cap or total, -(-total // threads))
     chunks = [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-    workers = min(threads, len(chunks))
-    if workers <= 1:
-        for lo, hi in chunks:
-            fn(lo, hi)
-        return
-    # imported here, so that a run that never starts threads never loads it
-    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    pending = iter(chunks)
+    failed: dict[tuple[int, int], BaseException] = {}
+    lock = Lock()
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi) for lo, hi in chunks]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        for future in futures:
-            future.cancel()
-        for future in futures:
-            future.result()
+    def work() -> None:
+        while True:
+            # the check and the take are one step, so no chunk is taken
+            # after a failure is recorded
+            with lock:
+                chunk = None if failed else next(pending, None)
+            if chunk is None:
+                return
+            try:
+                fn(*chunk)
+            except BaseException as error:  # re-raised below, after the join
+                with lock:
+                    failed[chunk] = error
+
+    helpers = []
+    try:
+        for _ in range(min(threads, len(chunks)) - 1):
+            helper = Thread(target=contextvars.copy_context().run, args=(work,))
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        # a helper may still be writing its chunk into the caller's output
+        for helper in helpers:
+            helper.join()
+    if failed:
+        raise failed[min(failed)]

@@ -28,10 +28,11 @@ Classical realizations evolve in row blocks: each block is one
 ``ensemble_series`` call, so a step makes one call per numpy operation for
 the whole block. The blocks are ``zenomap.pool.map_chunks`` chunks of the
 realizations, capped at ``_BLOCK_PARTICLES`` particles (at least one
-realization), on a thread pool capped by the ``ZENO_MAP_THREADS``
-environment variable. Each row is byte-identical to its realization evolved
-alone, so output bytes depend on neither the block shape nor the thread
-count. Kicked realizations run one after another on the calling thread:
+realization), which the calling thread and helper threads, at most
+``ZENO_MAP_THREADS`` in all, take in order; there is no executor, and after
+a block fails no thread takes another. Each row is byte-identical to its
+realization evolved alone, so output bytes depend on neither the block shape
+nor the thread count. Kicked realizations run one after another on the calling thread:
 each kick makes dozens of small numpy calls, whose hand-offs of the GIL make
 a second thread slower than one. ``ZENO_MAP_THREADS`` is checked on every
 run all the same.

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import zenomap.pool as pool
 from zenomap import (
     BasisWindow,
     QuantumState,
@@ -46,6 +47,31 @@ RANDOM_SEED = 999  # fixes the random level spectrum for every random-spectrum r
 
 def moving_average(values: np.ndarray, width: int) -> np.ndarray:
     return np.convolve(values, np.ones(width) / width, mode="valid")
+
+
+@pytest.fixture
+def started_helpers(monkeypatch):
+    """The helper threads ``map_chunks`` starts beside the calling thread."""
+    started = []
+
+    class Counted(pool.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(pool, "Thread", Counted)
+    return started
+
+
+@pytest.fixture
+def no_helper(monkeypatch):
+    """Fails the test if ``map_chunks`` builds a helper thread."""
+
+    class Refused(pool.Thread):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("map_chunks started a helper thread")
+
+    monkeypatch.setattr(pool, "Thread", Refused)
 
 
 @pytest.fixture(scope="session")

@@ -212,7 +212,7 @@ def test_criterion_09_numerical_hygiene(curve_a, curve_d_record, monkeypatch):
         measurement_mode="all", realizations=3,
     )
     # kicked realizations run on the calling thread; classical blocks start
-    # the thread pool, so that pair compares a pooled run with a serial one
+    # helper threads, so that pair compares a threaded run with a serial one
     classical = ExperimentConfig("classical", particles=300, n_kicks=30, realizations=5)
     monkeypatch.setenv("ZENO_MAP_THREADS", "1")
     serial = render_csv(run_experiment(config).aggregate)

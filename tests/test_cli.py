@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
-import concurrent.futures
 import os
 import warnings
 
@@ -282,17 +281,14 @@ class TestZenoCommand:
     def test_invalid_n_is_config_error(self):
         assert main(["zeno", "--n", "0"]) == 2
 
-    def test_one_usable_cpu_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started with one usable CPU")
-
+    def test_one_usable_cpu_starts_no_helper(self, monkeypatch, no_helper):
         monkeypatch.delenv("ZENO_MAP_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         assert main(["zeno", "--n", "8", "--trials", "1000"]) == 0
 
-    @pytest.mark.parametrize("threads", ["zero", "0"])
-    def test_invalid_thread_budget_is_config_error(self, monkeypatch, threads):
+    # above pool.MAX_THREADS: refused before a helper is built
+    @pytest.mark.parametrize("threads", ["zero", "0", "257", "100000"])
+    def test_invalid_thread_budget_is_config_error(self, monkeypatch, no_helper, threads):
         monkeypatch.setenv("ZENO_MAP_THREADS", threads)
         assert main(["zeno", "--n", "8", "--trials", "1000"]) == 2
 
@@ -441,7 +437,7 @@ def test_numerical_errors_exit_3_and_keep_their_base(error, base, monkeypatch, c
          "dispersion is nan at kick j = 2"),
         ("experiment = kicked\ntau = 1e308\nn_kicks = 3\nwindow_halfwidth = 50\n", None, "1",
          "norm drifted by nan, beyond 1e-06"),
-        # classical blocks on pool threads, which run in the caller's error state
+        # classical blocks on helper threads, which run in the caller's error state
         ("experiment = classical\ntau = 1e308\nparticles = 200\nn_kicks = 20\n"
          "realizations = 4\n", None, "2", "dispersion is nan at kick j = 2"),
     ],

@@ -1,9 +1,9 @@
 """Config parsing, experiment execution, CSV and SVG output."""
 
-import concurrent.futures
 import dataclasses
 import math
 import os
+import sys
 import time
 import warnings
 
@@ -431,7 +431,7 @@ class TestRunExperiment:
         "config",
         [
             _small_config(),
-            # classical realizations run on the pool, each with its own buffers
+            # classical realizations run on helper threads, each with its own buffers
             ExperimentConfig("classical", particles=300, n_kicks=30, realizations=5),
         ],
         ids=["kicked", "classical"],
@@ -443,39 +443,24 @@ class TestRunExperiment:
         threaded = run_experiment(config)
         assert render_csv(serial.aggregate) == render_csv(threaded.aggregate)
 
-    def test_default_thread_budget_follows_cpu_affinity(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started with one usable CPU")
-
+    def test_default_thread_budget_follows_cpu_affinity(self, monkeypatch, no_helper):
         monkeypatch.delenv("ZENO_MAP_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        # classical realizations, since kicked ones never start a pool
+        # classical realizations, since kicked ones never start a helper
         config = ExperimentConfig("classical", n_kicks=5, particles=50, realizations=3)
         record = run_experiment(config)
         assert record.realizations.dispersion.shape == (3, 6)
 
-    def test_kicked_realizations_run_on_the_calling_thread(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a kicked run started a thread pool")
-
+    def test_kicked_realizations_run_on_the_calling_thread(self, monkeypatch, no_helper):
         monkeypatch.setenv("ZENO_MAP_THREADS", "2")
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         record = run_experiment(_small_config(n_kicks=5))
         assert record.realizations.dispersion.shape == (3, 6)
 
-    def test_classical_realizations_share_the_thread_budget(self, monkeypatch):
-        started = []
-        real_pool = concurrent.futures.ThreadPoolExecutor
-
-        def counted_pool(max_workers):
-            started.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
+    def test_classical_realizations_share_the_thread_budget(self, monkeypatch, started_helpers):
+        # the calling thread and one helper
         monkeypatch.setenv("ZENO_MAP_THREADS", "2")
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
         run_experiment(ExperimentConfig("classical", n_kicks=5, particles=50, realizations=3))
-        assert started == [2]
+        assert len(started_helpers) == 1
 
     def test_invalid_thread_budget_rejected(self, monkeypatch):
         monkeypatch.setenv("ZENO_MAP_THREADS", "zero")
@@ -697,7 +682,7 @@ def _spied_blocks(monkeypatch, config: ExperimentConfig) -> list:
     """Record (first row, particles, realizations, steps) of every
     ``runner.ensemble_series`` call of a classical run of ``config``.
 
-    Pool threads make the calls in either order; the first row is the
+    Threads make the calls in either order; the first row is the
     realization whose first prepared angle starts the block, so sorting the
     calls puts them in row order.
     """
@@ -830,29 +815,17 @@ class TestMapChunks:
         (1001, 3, None, [(0, 334), (334, 668), (668, 1001)]),
         (100_000, 2, None, [(0, 50_000), (50_000, 100_000)]),
     ])
-    def test_chunk_layout(self, monkeypatch, total, threads, cap, chunks):
+    def test_chunk_layout(self, monkeypatch, started_helpers, total, threads, cap, chunks):
         monkeypatch.setenv("ZENO_MAP_THREADS", str(threads))
-        started = []
-        real_pool = concurrent.futures.ThreadPoolExecutor
-
-        def counted_pool(max_workers):
-            started.append(max_workers)
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted_pool)
         calls = []
         assert pool.map_chunks(lambda lo, hi: calls.append((lo, hi)), total, cap) is None
         assert sorted(calls) == chunks
-        workers = min(threads, len(chunks))
-        assert started == ([workers] if workers > 1 else [])
+        # the calling thread is one of the workers
+        assert len(started_helpers) == min(threads, len(chunks)) - 1
 
     @pytest.mark.parametrize("total, threads", [(1, 2), (9, 1)])
-    def test_one_chunk_or_one_thread_starts_no_pool(self, monkeypatch, total, threads):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
+    def test_one_chunk_or_one_thread_starts_no_helper(self, monkeypatch, no_helper, total, threads):
         monkeypatch.setenv("ZENO_MAP_THREADS", str(threads))
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         calls = []
         pool.map_chunks(lambda lo, hi: calls.append((lo, hi)), total)
         assert calls == [(0, total)]
@@ -869,6 +842,40 @@ class TestMapChunks:
         monkeypatch.setenv("ZENO_MAP_THREADS", "0")
         with pytest.raises(ConfigError):
             pool.map_chunks(lambda lo, hi: None, 1)
+
+    def test_a_set_budget_is_bounded_before_any_thread_starts(self, monkeypatch, no_helper):
+        monkeypatch.setenv("ZENO_MAP_THREADS", str(pool.MAX_THREADS))
+        assert pool.thread_budget() == pool.MAX_THREADS
+        for threads in (pool.MAX_THREADS + 1, 100_000):
+            monkeypatch.setenv("ZENO_MAP_THREADS", str(threads))
+            with pytest.raises(ConfigError, match=f"must be <= 256, got {threads}"):
+                pool.map_chunks(lambda lo, hi: None, 100_000)
+        # the default, the CPUs the process may run on, is not bounded
+        monkeypatch.delenv("ZENO_MAP_THREADS")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
+        assert pool.thread_budget() == 1000
+
+    def test_chunks_run_once_and_stop_at_a_failure_under_fast_switching(self, monkeypatch):
+        # More workers than cores, switching every microsecond: a chunk taken
+        # twice or lost, or taken after a failure, breaks the assertions.
+        monkeypatch.setenv("ZENO_MAP_THREADS", "4")
+        ran = []
+
+        def chunk(lo, hi):
+            ran.append(lo)
+            if lo >= 700:
+                raise RuntimeError(f"chunk {lo} failed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(RuntimeError, match="^chunk 700 failed$"):
+                pool.map_chunks(chunk, 2000, cap=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran)[:700] == list(range(700))
+        # each worker takes at most one chunk before the first failure is recorded
+        assert len(ran) == len(set(ran)) <= 704
 
 
 class TestScenarioOrdering:

@@ -1,5 +1,5 @@
-"""A run loads the thread pool's modules only when it starts threads, and
-builds the turn table of the phase factors only when it needs them.
+"""No run loads ``concurrent.futures`` or what it brings, threaded or not,
+and a run builds the turn table of the phase factors only when it needs it.
 
 Every check runs in a fresh interpreter, since a module stays in
 ``sys.modules`` once anything has imported it.
@@ -9,7 +9,8 @@ import os
 import subprocess
 import sys
 
-# What ``concurrent.futures`` loads with it, and a kicked run needs none of.
+# What ``concurrent.futures`` loads with it; ``pool.map_chunks`` starts plain
+# threads and needs none of them.
 POOL_MODULES = ("concurrent.futures", "logging", "queue")
 
 _LOADED = f"[name for name in {POOL_MODULES!r} if name in sys.modules]"
@@ -25,7 +26,7 @@ def _python(code: str) -> str:
     return done.stdout
 
 
-def test_a_kicked_run_loads_no_thread_pool():
+def test_a_kicked_run_loads_no_executor():
     code = (
         "import os, sys; os.environ['ZENO_MAP_THREADS'] = '2'; import zenomap.cli; "
         "from zenomap.runner import ExperimentConfig, run_experiment; "
@@ -36,7 +37,7 @@ def test_a_kicked_run_loads_no_thread_pool():
     assert _python(code) == "[]\n"
 
 
-def test_a_pooled_classical_run_loads_the_pool_and_keeps_the_bytes(tmp_path):
+def test_threaded_classical_and_zeno_runs_load_no_executor_and_keep_the_bytes(tmp_path):
     document = tmp_path / "classical.cfg"
     document.write_text(
         "experiment = classical\nparticles = 500\nn_kicks = 20\nrealizations = 3\nseed = 1\n",
@@ -46,13 +47,15 @@ def test_a_pooled_classical_run_loads_the_pool_and_keeps_the_bytes(tmp_path):
         "import os, sys; from zenomap.cli import main\n"
         "for threads in ('1', '2'):\n"
         "    os.environ['ZENO_MAP_THREADS'] = threads\n"
-        f"    out = os.path.join({str(tmp_path)!r}, 't' + threads + '.csv')\n"
-        f"    assert main(['run', {str(document)!r}, '--out', out]) == 0\n"
+        f"    out = os.path.join({str(tmp_path)!r}, 't' + threads)\n"
+        f"    assert main(['run', {str(document)!r}, '--out', out + '.csv']) == 0\n"
+        "    assert main(['zeno', '--n', '8', '--trials', '1001', '--out', out + '-zeno.csv']) == 0\n"
         f"    print({_LOADED})\n"
     )
-    # main prints a "wrote" line before each list
-    assert _python(code).splitlines()[1::2] == ["[]", repr(list(POOL_MODULES))]
-    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+    # each main call prints a "wrote" line before the list
+    assert [line for line in _python(code).splitlines() if line.startswith("[")] == ["[]", "[]"]
+    for name in ("{}.csv", "{}-zeno.csv"):
+        assert (tmp_path / name.format("t1")).read_bytes() == (tmp_path / name.format("t2")).read_bytes()
 
 
 def test_import_and_a_one_state_readout_build_no_turn_table():
