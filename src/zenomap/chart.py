@@ -14,10 +14,9 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 78, 24, 24, 58
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _nice_ticks(hi: float, count: int = 6) -> list[float]:
-    if hi <= 0:
-        return [0.0]
-    raw = hi / max(count - 1, 1)
+def _nice_ticks(hi: float) -> list[float]:
+    """About six round ticks from 0 to ``hi``, which :func:`render_chart` keeps >= 1."""
+    raw = hi / 5
     magnitude = 10.0 ** math.floor(math.log10(raw))
     step = 10.0 * magnitude
     for mult in (1.0, 2.0, 2.5, 5.0):

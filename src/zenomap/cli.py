@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -194,19 +193,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # overflow warnings would only repeat that failure with source lines
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    # MemoryError: a run too large for this machine
-    except (ConfigError, argparse.ArgumentError, MemoryError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    # first, since two of its errors are ValueErrors
     except NumericalError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    # ValueError: a ConfigError, or numpy refusing a size it cannot address;
+    # MemoryError: a run too large for this machine
+    except (ValueError, argparse.ArgumentError, MemoryError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as err:
-        print(f"invalid arguments: {err}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

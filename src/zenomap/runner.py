@@ -459,21 +459,18 @@ def render_csv(series: DispersionSeries) -> str:
 
 def _check_output_path(path: str) -> None:
     """The output-path rule, which the CLI applies before a run and
-    :func:`write_text_atomic` before it writes: raise the ``OSError``, naming
-    ``path``, of writing onto a directory or into a missing directory. A path
-    whose last component is empty (``out/``) names no file: it fails with
-    ``EISDIR`` when it names a directory, and otherwise with the error of
-    ``lstat`` (``ENOTDIR`` or ``ENOENT``). Any other write failure is left to
-    the write."""
+    :func:`write_text_atomic` before it writes: ``path`` must name a file
+    (a nonempty last component) that is not a directory, in a directory that
+    exists. Otherwise it raises the ``OSError`` that names ``path``:
+    ``EISDIR`` for a directory, else the error of ``lstat`` (``ENOENT`` for a
+    missing directory, ``ENOTDIR`` for a path under a regular file). Any
+    other write failure is left to the write."""
     try:
         mode = os.lstat(path).st_mode
-    except OSError as err:
-        missing = isinstance(err, FileNotFoundError) and not os.path.isdir(
-            os.path.dirname(path) or os.curdir
-        )
-        if missing or not os.path.basename(path):
-            raise
-        return
+    except OSError:
+        if os.path.basename(path) and os.path.isdir(os.path.dirname(path) or os.curdir):
+            return
+        raise
     if stat.S_ISDIR(mode):
         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 

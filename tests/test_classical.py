@@ -130,6 +130,20 @@ class TestEnsembleDiffusion:
         with pytest.raises(ValueError):
             ClassicalEnsemble((), 0.0, 1.0, 10.0)
 
+    @pytest.mark.parametrize("tau, k, message", [
+        (0.0, 10.0, r"^tau must be positive, got 0\.0$"),
+        (-1.0, 10.0, r"^tau must be positive, got -1\.0$"),
+        (1.0, -0.5, r"^k must be >= 0, got -0\.5$"),
+    ])
+    def test_bad_period_or_strength_rejected(self, tau, k, message):
+        with pytest.raises(ValueError, match=message):
+            ClassicalEnsemble(np.zeros(4), 0.0, tau, k)
+
+    def test_series_of_no_steps_rejected(self):
+        ensemble = ClassicalEnsemble.prepared(10, 500.0, 1.0, 10.0, seed=1)
+        with pytest.raises(ValueError, match=r"^steps must be >= 1, got 0$"):
+            ensemble_series(ensemble, 0)
+
     def test_warns_below_chaos_threshold(self):
         ensemble = ClassicalEnsemble.prepared(100, 0.0, 1.0, 0.5, seed=0)
         with pytest.warns(UserWarning):

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import errno
 import os
+import types
 import warnings
 
 import pytest
@@ -324,20 +326,34 @@ class TestClassicalCommand:
         assert captured.out == ""
 
 
+_HUGE = 10**30  # past 2**63 elements, which numpy cannot address
+
+
 # Every size here is at least 10**17 elements: no machine can map such an
 # array, so the allocation fails at once instead of trying to fill memory.
+# From 2**63 elements on numpy refuses the size before it allocates.
 @pytest.mark.parametrize(
-    "document, command",
+    "document, command, message",
     [
-        ("experiment = kicked\nwindow_halfwidth = 100000000000000000\n", None),
-        ("experiment = kicked\nn_kicks = 100000000000000000\nwindow_halfwidth = 100\n", None),
-        ("experiment = classical\nn_kicks = 100000000000000000\nparticles = 10\n", None),
-        ("experiment = zeno\nn_kicks = 100000000000000000\n", None),
-        (None, "classical --particles 100000000000000000"),
+        ("experiment = kicked\nwindow_halfwidth = 100000000000000000\n", None,
+         "Unable to allocate"),
+        ("experiment = kicked\nn_kicks = 100000000000000000\nwindow_halfwidth = 100\n", None,
+         "Unable to allocate"),
+        ("experiment = classical\nn_kicks = 100000000000000000\nparticles = 10\n", None,
+         "Unable to allocate"),
+        ("experiment = zeno\nn_kicks = 100000000000000000\n", None, "Unable to allocate"),
+        (None, "classical --particles 100000000000000000", "Unable to allocate"),
+        (f"experiment = kicked\nwindow_halfwidth = {_HUGE}\n", None, "Maximum allowed"),
+        (f"experiment = kicked\nn_kicks = {_HUGE}\nwindow_halfwidth = 100\n", None,
+         "Maximum allowed"),
+        (None, f"classical --particles {_HUGE}", "Maximum allowed"),
+        (None, f"zeno --n 4 --trials {_HUGE}", "Maximum allowed"),
     ],
-    ids=["kicked-window", "kicked-kicks", "classical-kicks", "zeno-kicks", "classical-particles"],
+    ids=["kicked-window", "kicked-kicks", "classical-kicks", "zeno-kicks", "classical-particles",
+         "kicked-window-unaddressable", "kicked-kicks-unaddressable",
+         "classical-particles-unaddressable", "zeno-trials-unaddressable"],
 )
-def test_run_too_large_for_memory_is_config_error(document, command, tmp_path, capsys):
+def test_run_too_large_for_memory_is_config_error(document, command, message, tmp_path, capsys):
     if document is not None:
         path = tmp_path / "huge.cfg"
         path.write_text(document)
@@ -346,7 +362,7 @@ def test_run_too_large_for_memory_is_config_error(document, command, tmp_path, c
         argv = command.split()
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("config error: Unable to allocate")
+    assert captured.err.startswith(f"config error: {message}")
     assert captured.err.count("\n") == 1
     assert captured.out == ""
 
@@ -358,7 +374,9 @@ def test_run_too_large_for_memory_is_config_error(document, command, tmp_path, c
     ("taken/", "[Errno 21] Is a directory"),
     ("file.csv/", "[Errno 20] Not a directory"),
     ("missing/", "[Errno 2] No such file or directory"),
-], ids=["missing-directory", "onto-directory", "directory-slash", "file-slash", "missing-slash"])
+    ("file.csv/x.csv", "[Errno 20] Not a directory"),
+], ids=["missing-directory", "onto-directory", "directory-slash", "file-slash", "missing-slash",
+        "under-file"])
 @pytest.mark.parametrize("how", ["run-out", "output-path", "zeno-out"])
 def test_failed_write_names_the_output_path(how, target, message, tmp_path, no_simulation,
                                             capsys):
@@ -399,9 +417,15 @@ def test_svg_path_that_is_a_directory_fails_before_the_csv(tmp_path, no_simulati
     ("taken/", IsADirectoryError),
     ("f.csv/", NotADirectoryError),
     ("missing/", FileNotFoundError),
+    ("f.csv/x.csv", NotADirectoryError),
 ], ids=["missing-directory", "onto-directory", "directory-separator", "file-separator",
-        "missing-separator"])
-def test_write_text_atomic_names_the_path_not_its_temporary(target, error, tmp_path):
+        "missing-separator", "under-file"])
+def test_write_text_atomic_names_the_path_not_its_temporary(target, error, tmp_path,
+                                                             monkeypatch):
+    def no_temporary(nbytes):
+        raise AssertionError("a temporary file was named before the path was checked")
+
+    monkeypatch.setattr(runner, "secrets", types.SimpleNamespace(token_hex=no_temporary))
     (tmp_path / "taken").mkdir()
     (tmp_path / "f.csv").write_text("kept\n")
     path = os.path.join(tmp_path, target)  # a pathlib join would drop a trailing "/"
@@ -411,6 +435,23 @@ def test_write_text_atomic_names_the_path_not_its_temporary(target, error, tmp_p
     assert excinfo.value.filename2 is None
     assert not list(tmp_path.rglob("*.tmp"))
     assert (tmp_path / "f.csv").read_text() == "kept\n"
+
+
+def test_write_failure_naming_the_temporary_names_the_path(tmp_path, monkeypatch):
+    # a move across file systems fails after the path check, naming both files
+    def cross_device(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+    monkeypatch.setattr(runner.os, "replace", cross_device)
+    path = tmp_path / "out.csv"
+    path.write_text("kept\n")
+    with pytest.raises(OSError) as excinfo:
+        runner.write_text_atomic(str(path), "text\n")
+    assert excinfo.value.errno == errno.EXDEV
+    assert excinfo.value.filename == str(path)
+    assert excinfo.value.filename2 is None
+    assert path.read_text() == "kept\n"
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("error, base", [

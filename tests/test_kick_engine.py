@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenomap.kick_engine as kick_engine
 from zenomap import (
     BasisWindow,
     QuantumState,
@@ -91,6 +92,30 @@ class TestBuildKernel:
         extended = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
         coefficients = build_kernel(k).coefficients
         assert abs(math.fsum(coefficients * coefficients) - 1.0) <= (2.3e-16 if extended else 1e-14)
+
+    def test_band_widens_until_the_tail_is_below_threshold(self, monkeypatch):
+        # at 1e-60 the first band (62 orders at k = 10) is too short, so
+        # build_kernel widens it by 16 orders once
+        orders_asked = []
+        bessel_orders = kick_engine._bessel_orders
+
+        def spy(k, n):
+            orders_asked.append(n)
+            return bessel_orders(k, n)
+
+        default = build_kernel(10.0)
+        monkeypatch.setattr(kick_engine, "_KERNEL_EPS", 1e-60)
+        monkeypatch.setattr(kick_engine, "_bessel_orders", spy)
+        kernel = build_kernel.__wrapped__(10.0)
+        assert orders_asked == [62, 78]
+        assert kernel.d_max == 77
+        c, d = kernel.coefficients, offsets(kernel).astype(float)
+        assert abs(math.fsum(c * c) - 1.0) < 1e-12
+        assert abs(float(d @ c**2)) < 1e-12
+        assert abs(float(d**2 @ c**2) - 50.0) < 1e-10
+        band = slice(kernel.d_max - default.d_max, kernel.d_max + default.d_max + 1)
+        assert default.d_max == 32
+        assert np.array_equal(c[band], default.coefficients)
 
     def test_bandwidth_is_minimal(self):
         mpmath.mp.dps = 50
@@ -423,6 +448,11 @@ class TestApplyFree:
         state = QuantumState.delta(BasisWindow.centered(0, 12))
         with pytest.raises(ValueError):
             apply_free(state, spectrum)
+
+    @pytest.mark.parametrize("size", [20, 22])
+    def test_phase_table_of_another_size_rejected(self, size):
+        with pytest.raises(ValueError, match=r"^phase table does not cover the window$"):
+            SpectrumModel(np.zeros(size), BasisWindow.centered(0, 10))
 
 
 class TestLinearLadder:

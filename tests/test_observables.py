@@ -173,6 +173,12 @@ class TestBreakTime:
         assert not estimate.delocalized
         assert 50 <= estimate.j <= 75
 
+    def test_window_of_one_kick_rejected(self):
+        j = np.arange(301)
+        series = DispersionSeries(j, 1.0 * j, np.ones(301), np.ones(301))
+        with pytest.raises(ValueError, match=r"^window must be >= 2 kicks, got 1$"):
+            detect_break_time(series, window=1)
+
     def test_short_series_rejected(self):
         j = np.arange(100)
         series = DispersionSeries(j, 1.0 * j, np.ones(100), np.ones(100))

@@ -176,6 +176,11 @@ def test_bad_config_is_rejected_when_built(fields, key):
          "must be between -2**53 and 2**53 (integers exact in float64) (key 'm0', line 2)"),
         ("experiment = classical\nm0 = -" + "9" * 400 + "\n",
          "must be between -2**53 and 2**53 (integers exact in float64) (key 'm0', line 2)"),
+        ("experiment = kicked\nk = strong\n",
+         "expected a number, got 'strong' (key 'k', line 2)"),
+        ("experiment = kicked\nmeasurement_mode = subset\nsubset = 500, five\n",
+         "expected comma-separated integers, got '500, five' (key 'subset', line 3)"),
+        ("experiment = kicked\nseed =\n", "empty value (key 'seed', line 2)"),
     ],
 )
 def test_config_message_is_pinned(document, message):
@@ -952,6 +957,17 @@ class TestChart:
         text = render_chart(records)
         assert "all states, every kick" in text
         assert "no measurement" in text
+
+    @pytest.mark.parametrize("fields, label", [
+        ({"experiment": "classical", "particles": 20, "n_kicks": 5}, "classical ensemble"),
+        ({"experiment": "zeno", "n_kicks": 5}, "two-level readout"),
+        ({"experiment": "kicked", "n_kicks": 6, "window_halfwidth": 100,
+          "measurement_mode": "subset", "subset": (480, 500, 517), "measurement_period": 3},
+         "states {480,500,517}, every 3 kicks"),
+    ], ids=["classical", "zeno", "subset"])
+    def test_legend_labels_other_runs(self, fields, label):
+        text = render_chart([run_experiment(ExperimentConfig(**fields))])
+        assert f">{label}</text>" in text
 
     def test_deterministic_bytes(self):
         record = self._record()

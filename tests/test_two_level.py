@@ -171,6 +171,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_measured_evolve(ProbabilityPair(1.0, 0.0), 0.3, 8, 0, seed=1)
 
+    def test_negative_segment_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+            monte_carlo_measured_evolve(ProbabilityPair(1.0, 0.0), 0.3, -1, 10, seed=1)
+
     @pytest.mark.parametrize("n", [0, 1, 8])
     def test_int_pair_gives_the_float_pair_result(self, n):
         # the trial array is float even for an int pair, whose int array
