@@ -48,19 +48,19 @@ class DispersionSeries:
             raise ValueError("series is empty")
         if np.any(np.diff(self.j) <= 0):
             raise ValueError("kick indices must be strictly increasing")
-        drift = np.abs(self.norm - 1.0)
-        if not np.all(drift <= _NORM_SLACK):  # a nan norm fails too
-            worst = float(np.max(drift))
+        # A column's min and max decide each refusal (x - 1.0 is monotone, a nan or an
+        # inf reaches them, no rows read 1.0); only naming a fault builds row-sized arrays.
+        low = {f: np.min(getattr(self, f), initial=1.0) for f in ("dispersion", "norm", "p_m0")}
+        high = {f: np.max(getattr(self, f), initial=1.0) for f in ("dispersion", "norm", "p_m0")}
+        if not (low["norm"] - 1.0 >= -_NORM_SLACK and high["norm"] - 1.0 <= _NORM_SLACK):
+            worst = float(np.max(np.abs(self.norm - 1.0)))
             raise NormDriftError(f"norm drifted by {worst:.3e}, beyond {_NORM_SLACK:g}")
         for name in ("dispersion", "p_m0"):
-            column = getattr(self, name)
-            bad = np.argwhere(~np.isfinite(column))
-            if bad.size:
-                first = tuple(bad[0])
-                raise NonFiniteError(
-                    f"{name} is {column[first]} at kick j = {self.j[first[-1]]}"
-                )
-        if np.any(self.dispersion < 0):
+            if not np.isfinite([low[name], high[name]]).all():
+                column = getattr(self, name)
+                first = tuple(np.argwhere(~np.isfinite(column))[0])
+                raise NonFiniteError(f"{name} is {column[first]} at kick j = {self.j[first[-1]]}")
+        if low["dispersion"] < 0:
             raise ValueError("dispersion must be non-negative")
 
     def __len__(self) -> int:

@@ -110,13 +110,17 @@ def monte_carlo_measured_evolve(
     contiguous chunks, one per thread of the ``ZENO_MAP_THREADS`` budget
     (see :mod:`zenomap.pool`); each chunk jumps ahead in that one stream to
     its own slice of every block, so the result is bit-identical for any
-    thread count. An invalid thread setting raises :class:`ConfigError`.
+    thread count. An invalid thread setting raises :class:`ConfigError`,
+    and an ``n`` of 2**63 or more a ``ValueError`` before any draw; below
+    that the time grows as ``n * trials``.
     """
     trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if n > np.iinfo(np.intp).max:  # refused as numpy refuses the zeno run's n + 1 rows
+        raise ValueError("Maximum allowed size exceeded")
     start = np.random.default_rng(seed).bit_generator.state
     p2 = np.full(trials, p0.p2, dtype=float)  # an int pair would make an int array
     s = math.sin(phi)

@@ -15,6 +15,7 @@ import numpy as np
 
 import zenomap.kick_engine as kick_engine
 import zenomap.measurement as measurement
+from zenomap.errors import NonFiniteError, NormDriftError
 from zenomap.kick_engine import KickKernel, QuantumState, SpectrumModel
 from zenomap.two_level import ProbabilityPair, measured_populations
 
@@ -122,6 +123,27 @@ def turn_sine(t: np.ndarray) -> np.ndarray:
     index, sin_r, cos_r1 = split_turns(t)
     table = measurement._turn_table()[index]
     return table.imag + (table.real * sin_r + table.imag * cos_r1)
+
+
+# -- series checks ------------------------------------------------------------
+
+def check_rows(j: np.ndarray, dispersion: np.ndarray, norm: np.ndarray, p_m0: np.ndarray) -> None:
+    """The refusals of :class:`zenomap.observables.DispersionSeries` for its
+    float columns, decided elementwise: ``|norm - 1| <= 1e-6`` everywhere
+    (``NormDriftError`` naming the worst drift), ``dispersion`` then ``p_m0``
+    finite everywhere (``NonFiniteError`` naming the first bad value in C
+    order and its kick), and ``dispersion >= 0`` (``ValueError``)."""
+    drift = np.abs(norm - 1.0)
+    if not np.all(drift <= 1e-6):  # a nan norm fails too
+        worst = float(np.max(drift))
+        raise NormDriftError(f"norm drifted by {worst:.3e}, beyond {1e-6:g}")
+    for name, column in (("dispersion", dispersion), ("p_m0", p_m0)):
+        bad = np.argwhere(~np.isfinite(column))
+        if bad.size:
+            first = tuple(bad[0])
+            raise NonFiniteError(f"{name} is {column[first]} at kick j = {j[first[-1]]}")
+    if np.any(dispersion < 0):
+        raise ValueError("dispersion must be non-negative")
 
 
 # -- two-level system ---------------------------------------------------------

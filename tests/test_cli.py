@@ -348,10 +348,12 @@ _HUGE = 10**30  # past 2**63 elements, which numpy cannot address
          "Maximum allowed"),
         (None, f"classical --particles {_HUGE}", "Maximum allowed"),
         (None, f"zeno --n 4 --trials {_HUGE}", "Maximum allowed"),
+        (None, f"zeno --n {_HUGE} --trials 10", "Maximum allowed size exceeded\n"),
     ],
     ids=["kicked-window", "kicked-kicks", "classical-kicks", "zeno-kicks", "classical-particles",
          "kicked-window-unaddressable", "kicked-kicks-unaddressable",
-         "classical-particles-unaddressable", "zeno-trials-unaddressable"],
+         "classical-particles-unaddressable", "zeno-trials-unaddressable",
+         "zeno-n-unaddressable"],
 )
 def test_run_too_large_for_memory_is_config_error(document, command, message, tmp_path, capsys):
     if document is not None:

@@ -1,7 +1,11 @@
 """Dispersion series, localization fits, and break-time detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zenomap import (
     BasisWindow,
@@ -17,7 +21,7 @@ from zenomap import (
 from zenomap.kick_engine import apply_kick
 from zenomap.observables import DispersionSeries
 
-from reference import occupations, time_averaged_profile
+from reference import check_rows, occupations, time_averaged_profile
 
 
 class TestDispersion:
@@ -265,3 +269,69 @@ class TestSeriesValidation:
         assert a == a
         assert a != b
         assert len({a, b, a}) == 2
+
+
+# Values at the edge of each check: norms at 1 -+ 1e-6 and the doubles next to
+# them, and the non-finite values and signed zeros every column may hold.
+_NORM_EDGES = [
+    edge for bound in (1.0 - 1e-6, 1.0 + 1e-6)
+    for edge in (np.nextafter(bound, -np.inf), bound, np.nextafter(bound, np.inf))
+] + [np.nan, np.inf, -np.inf, -0.0, 0.0]
+_VALUE_EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, -5e-324, -1.0, 1e308]
+
+
+@st.composite
+def _columns(draw):
+    """``(j, dispersion, norm, p_m0)``: 1-D columns, ``(R, n)`` stacked rows
+    or one row broadcast to R rows, R from 0, with a few edge values written
+    over values that pass."""
+    n = draw(st.integers(1, 4))
+    layout = draw(st.sampled_from(["1-D", "stacked", "broadcast"]))
+    rows = draw(st.integers(0, 3))
+    stored = (rows, n) if layout == "stacked" else (n,)
+    size = int(np.prod(stored))
+    columns = []
+    for passing, edges in ((st.floats(0.0, 1e6), _VALUE_EDGES),
+                           (st.floats(1.0 - 5e-7, 1.0 + 5e-7), _NORM_EDGES),
+                           (st.floats(0.0, 1.0), _VALUE_EDGES)):
+        values = draw(st.lists(passing, min_size=size, max_size=size))
+        if size:
+            for at, value in draw(st.lists(
+                    st.tuples(st.integers(0, size - 1), st.sampled_from(edges)), max_size=2)):
+                values[at] = value
+        column = np.array(values, dtype=float).reshape(stored)
+        columns.append(np.broadcast_to(column, (rows, n)) if layout == "broadcast" else column)
+    return (np.arange(n), *columns)
+
+
+def _outcome(check) -> tuple[type, str] | None:
+    try:
+        check()
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+class TestSeriesChecksAgainstTheElementwiseOracle:
+    @given(_columns())
+    @example((np.arange(2), np.zeros((0, 2)), np.full((0, 2), np.nan), np.zeros((0, 2))))
+    @example((np.arange(2), np.array([0.0, -0.0]), np.array([1.0, -0.0]), np.ones(2)))
+    @example((np.arange(2), np.array([np.inf, -1.0]), np.array([np.nan, 2.0]), np.ones(2)))
+    @example((np.arange(3), np.broadcast_to([0.0, -np.inf, np.nan], (4, 3)), np.ones((4, 3)),
+              np.ones((4, 3))))
+    @settings(max_examples=400, deadline=None)
+    def test_same_decision_type_and_message(self, columns):
+        expected = _outcome(lambda: check_rows(*columns))
+        assert _outcome(lambda: DispersionSeries(*columns)) == expected
+
+    def test_checking_stacked_rows_builds_no_array_of_their_size(self):
+        rng = np.random.default_rng(0)
+        shape = (60, 20_001)  # 9.2 MiB per column
+        columns = (rng.random(shape), np.ones(shape), rng.random(shape))
+        tracemalloc.start()
+        try:
+            DispersionSeries(np.arange(shape[1]), *columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20

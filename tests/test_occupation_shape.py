@@ -14,12 +14,19 @@ which tends to a Gaussian's 3 as the readout restores diffusion. After one
 kick the occupation is ``J_d(k)^2`` in every realization, whose kurtosis is
 ``3 / 2 + 2 / k^2`` exactly. The realization mean of the sampled
 occupations must agree with the chain at every later kick.
+
+Without readout the occupation localizes, and a localized profile is about
+exponential, ``p ~ exp(-2 |o| / l)``, whose kurtosis is 6. The classical
+standard map diffuses, so its actions spread as a Gaussian, kurtosis 3.
+Neither value is a closed form for the runs: each test holds its statistic
+to a band recorded first from start states or seeds it does not use.
 """
 
 import numpy as np
 import pytest
 
 from zenomap import BasisWindow, QuantumState, SpectrumModel, build_kernel, step
+from zenomap.classical import ClassicalEnsemble, _step_arrays
 from zenomap.measurement import MeasurementSchedule, PhaseRandomizer, apply_measurement
 
 from reference import occupations
@@ -77,3 +84,51 @@ def test_kurtosis_after_one_kick_is_the_kernels(moments):
 
 def test_kurtosis_follows_the_chain_at_kicks_2_to_6(moments):
     assert np.abs(_chain_z(*moments)).max() <= Z_BOUND
+
+
+# The unmeasured occupation of each of 20 start states, averaged over kicks
+# 100-300 (the break time is about 50 kicks at k = 10), has its own kurtosis;
+# their median is the statistic. Over 30 disjoint groups of 20 start states
+# (m0 = 1000 + 7 i and 5000 + 11 i, i < 300, which this test does not use) it
+# read 5.07-7.83, mean 6.57, sd 0.65; single start states spread from 3.5 to
+# 18, as localization lengths do.
+UNMEASURED_STARTS = [20_000 + 13 * i for i in range(20)]
+UNMEASURED_BAND = (4.5, 9.0)
+
+
+def _unmeasured_kurtosis(m0: int) -> float:
+    window = BasisWindow.centered(m0, 800)
+    kernel, spectrum = build_kernel(K), SpectrumModel.rotator(window, tau=1.0)
+    o2 = (window.indices() - m0).astype(float) ** 2
+    state, total = QuantumState.delta(window), np.zeros(2)
+    for j in range(1, 301):
+        step(state, kernel, spectrum)
+        if j >= 100:
+            p2 = occupations(state) * o2
+            total += p2.sum(), p2 @ o2
+    second, fourth = total / 201
+    return fourth / second**2
+
+
+def test_unmeasured_occupation_is_about_exponential():
+    kurtosis = np.median([_unmeasured_kurtosis(m0) for m0 in UNMEASURED_STARTS])
+    assert UNMEASURED_BAND[0] <= kurtosis <= UNMEASURED_BAND[1]
+
+
+# Actions of 20,000 particles from I0 = 500 with uniform angles, after 100
+# steps at K = 10. Over seeds 1000-1039, which this test does not use, the
+# kurtosis read 2.904-3.071, mean 2.987, sd 0.034 (the sampling error of a
+# Gaussian's kurtosis, sqrt(24 / 20000), is 0.035).
+CLASSICAL_BAND = (2.8, 3.2)
+
+
+def test_classical_actions_are_about_gaussian():
+    particles, steps = 20_000, 100
+    ensemble = ClassicalEnsemble.prepared(particles, 500.0, 1.0, K, seed=7)
+    angles, actions = ensemble.particles.copy(), np.full(particles, 500.0)
+    work = np.empty((2, particles))
+    for _ in range(steps):
+        _step_arrays(actions, angles, K, 1.0, work)
+    o2 = (actions - 500.0) ** 2
+    kurtosis = np.mean(o2 * o2) / np.mean(o2) ** 2
+    assert CLASSICAL_BAND[0] <= kurtosis <= CLASSICAL_BAND[1]

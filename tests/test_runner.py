@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -544,6 +545,19 @@ class TestRunExperiment:
         csv = render_csv(run_experiment(never).aggregate)
         assert len(calls) == 50
         assert csv == render_csv(run_experiment(never.with_preset("a")).aggregate)
+
+    def test_one_row_run_takes_no_memory_per_realization(self):
+        # 200 realizations of 20,001 kicks would be 30.5 MiB per column; the
+        # record checks the one row broadcast to them and copies none of it
+        config = ExperimentConfig("zeno", n_kicks=20_000, realizations=200)
+        tracemalloc.start()
+        try:
+            record = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.realizations.dispersion.shape == (200, 20_001)
+        assert peak < 2 * 2**20
 
     def test_classical_series_runs(self):
         config = ExperimentConfig(

@@ -175,6 +175,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
             monte_carlo_measured_evolve(ProbabilityPair(1.0, 0.0), 0.3, -1, 10, seed=1)
 
+    def test_unaddressable_segment_count_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would fail otherwise
+        with pytest.raises(ValueError, match=r"^Maximum allowed size exceeded$"):
+            monte_carlo_measured_evolve(ProbabilityPair(1.0, 0.0), 0.3, 2**63, 10, seed=1)
+
     @pytest.mark.parametrize("n", [0, 1, 8])
     def test_int_pair_gives_the_float_pair_result(self, n):
         # the trial array is float even for an int pair, whose int array
